@@ -45,8 +45,10 @@ type ingestReply struct {
 
 // ingestBatch is one connection's pooled decode buffer: up to IngestBatch
 // records plus each line's byte offset. Record slots keep their Alts capacity
-// across batches and connections, so a warm daemon decodes without per-line
-// allocation; admission copies the alternatives out.
+// across batches and connections, so a warm daemon scans and decodes
+// canonical record lines without allocating (lines in any other JSON
+// spelling take encoding/json's allocating path); admission copies the
+// alternatives out.
 type ingestBatch struct {
 	recs []trace.StreamRecord
 	offs []int64
@@ -157,20 +159,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		lineOff := off
 		off = next
-		if !sawHeader && index == 0 {
-			// A leading stream header is allowed (so a trace file POSTs
-			// verbatim) but must match the daemon's contract.
-			if n, d, ok := parseHeader(line); ok {
-				sawHeader = true
-				if n != s.cfg.N || d != s.cfg.D {
-					fail(http.StatusBadRequest, lineOff,
-						"stream header n=%d d=%d does not match server n=%d d=%d",
-						n, d, s.cfg.N, s.cfg.D)
-					return
-				}
-				continue
-			}
-		}
 		// Extend by one slot, reviving a previous batch's slot (and its Alts
 		// buffer) when capacity allows.
 		if len(batch.recs) < cap(batch.recs) {
@@ -180,6 +168,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := trace.DecodeStreamRecordInto(&batch.recs[len(batch.recs)-1], line, s.cfg.N, s.cfg.D, index); err != nil {
 			batch.recs = batch.recs[:len(batch.recs)-1]
+			// A leading stream header is allowed (so a trace file POSTs
+			// verbatim) but must match the daemon's contract. Only a line
+			// that is not a record is probed: a record always carries
+			// alternatives, so parseHeader would refuse it anyway.
+			if !sawHeader && index == 0 {
+				if n, d, ok := parseHeader(line); ok {
+					sawHeader = true
+					if n != s.cfg.N || d != s.cfg.D {
+						fail(http.StatusBadRequest, lineOff,
+							"stream header n=%d d=%d does not match server n=%d d=%d",
+							n, d, s.cfg.N, s.cfg.D)
+						return
+					}
+					continue
+				}
+			}
 			if rec, failOff, v := admit(); v != admitOK {
 				failVerdict(rec, failOff, v)
 				return
@@ -212,7 +216,8 @@ func ScanBodyLine(br *bufio.Reader, off int64) ([]byte, int64, error) {
 }
 
 // parseHeader reports whether line is a bare stream header — an object with
-// "n" and no "alts". Records always carry "alts", so the two cannot collide.
+// "n" and no "alts". Records always carry "alts", so the two cannot collide,
+// and ingest probes only a first line that fails to decode as a record.
 func parseHeader(line []byte) (n, d int, ok bool) {
 	var h struct {
 		N    int   `json:"n"`

@@ -140,7 +140,8 @@ type StreamRecord struct {
 	// T is the arrival round; D the deadline window; W the weight.
 	T, D, W int
 	// Alts lists the alternative resources in preference order. The slice is
-	// owned by the caller (freshly decoded each record).
+	// owned by the caller; DecodeStreamRecordInto overwrites it in place, so
+	// a caller that keeps alternatives past the next decode copies them.
 	Alts []int
 }
 
@@ -170,9 +171,13 @@ func (e *TornTail) Error() string {
 // raw bytes consumed, so torn-tail truncation points stay exact. It is the
 // shared low-level scanner of the trace stream reader and the grid
 // checkpoint journal.
+//
+// The line usually aliases r's internal buffer: it stays valid only until
+// the next read from r, so callers decode (or copy) it first. Only a line
+// longer than r's buffer is gathered into a fresh slice.
 func ScanJSONLine(r *bufio.Reader, off int64) (line []byte, next int64, err error) {
 	for {
-		line, err = r.ReadBytes('\n')
+		line, err = readLine(r)
 		next = off + int64(len(line))
 		blank := len(bytes.TrimSpace(line)) == 0
 		if err == nil {
@@ -192,6 +197,22 @@ func ScanJSONLine(r *bufio.Reader, off int64) (line []byte, next int64, err erro
 		}
 		return nil, next, err
 	}
+}
+
+// readLine is bufio.Reader.ReadBytes('\n') without the per-line copy: it
+// returns ReadSlice's view of the buffer, and gathers into a fresh slice only
+// when the line overflows the buffer.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, err
 }
 
 // StreamReader decodes a JSONL trace stream record by record, validating each
@@ -291,27 +312,201 @@ func DecodeStreamRecord(line []byte, n, d, index int) (StreamRecord, error) {
 
 // DecodeStreamRecordInto is DecodeStreamRecord reusing out's Alts capacity:
 // the decoder appends into out.Alts[:0], so a hot ingest loop that copies
-// alternatives out of the record reaches zero allocations per line once the
-// buffer has grown to the widest record. On error the record fields are
-// unspecified, but the Alts buffer is retained for the next call.
+// alternatives out of the record decodes canonical lines (see scanRecord)
+// without allocating once the buffer has grown to the widest record. Any
+// other line goes through encoding/json, so acceptance, values and error
+// text are those of json.Unmarshal for every input. On error the record
+// fields are unspecified, but the Alts buffer is retained for the next call.
 func DecodeStreamRecordInto(out *StreamRecord, line []byte, n, d, index int) error {
-	rec := fileRecord{Alts: out.Alts[:0]}
-	err := json.Unmarshal(line, &rec)
-	out.Alts = rec.Alts // keep the (possibly regrown) buffer either way
-	if err != nil {
-		return fmt.Errorf("trace: stream request %d: %w", index, err)
+	t, rd, w, ok := scanRecord(line, &out.Alts)
+	if !ok {
+		var err error
+		if t, rd, w, err = unmarshalRecord(out, line); err != nil {
+			return fmt.Errorf("trace: stream request %d: %w", index, err)
+		}
 	}
-	if err := checkRecord(n, index, rec.T, rec.D, rec.Alts); err != nil {
+	if err := checkRecord(n, index, t, rd, out.Alts); err != nil {
 		return err
 	}
-	out.T, out.D, out.W = rec.T, rec.D, rec.W
-	if out.D == 0 {
-		out.D = d
+	if rd == 0 {
+		rd = d
 	}
-	if out.W < 1 {
-		out.W = 1
+	if w < 1 {
+		w = 1
 	}
+	out.T, out.D, out.W = t, rd, w
 	return nil
+}
+
+// unmarshalRecord decodes line with encoding/json into out.Alts[:0]. It is a
+// function of its own so the fileRecord, whose address escapes into
+// json.Unmarshal, is allocated only on this path.
+func unmarshalRecord(out *StreamRecord, line []byte) (t, d, w int, err error) {
+	rec := fileRecord{Alts: out.Alts[:0]}
+	err = json.Unmarshal(line, &rec)
+	out.Alts = rec.Alts // keep the (possibly regrown) buffer either way
+	return rec.T, rec.D, rec.W, err
+}
+
+// scanRecord decodes line if it is a canonical stream record: one object
+// whose keys are drawn from "t", "d", "w" and "alts", each at most once,
+// spelled exactly so and without escapes, whose values are JSON integer
+// literals of at most 18 digits (an array of them for "alts"), with JSON
+// whitespace allowed between tokens. The alternatives are appended to
+// (*alts)[:0]. Any other line reports ok = false and is left to
+// encoding/json, which matches keys case-insensitively, ignores unknown
+// fields, lets a repeated key win and rejects what the scanner cannot
+// classify — rules the scanner never has to reproduce. Every accepted line is
+// valid JSON that json.Unmarshal decodes to the same values.
+func scanRecord(line []byte, alts *[]int) (t, d, w int, ok bool) {
+	*alts = (*alts)[:0]
+	s := recScanner{b: line}
+	if s.next() != '{' {
+		return 0, 0, 0, false
+	}
+	c := s.next()
+	var seen uint8
+	for c != '}' {
+		if c != '"' {
+			return 0, 0, 0, false
+		}
+		end := bytes.IndexByte(s.b[s.i:], '"')
+		if end < 0 {
+			return 0, 0, 0, false
+		}
+		key := s.b[s.i : s.i+end]
+		s.i += end + 1
+		if s.next() != ':' {
+			return 0, 0, 0, false
+		}
+		var field *int // nil for "alts"
+		var bit uint8
+		switch string(key) {
+		case "t":
+			field, bit = &t, 1
+		case "d":
+			field, bit = &d, 2
+		case "w":
+			field, bit = &w, 4
+		case "alts":
+			bit = 8
+		}
+		// An unknown or repeated key is left to encoding/json before its
+		// value is scanned: a second "alts" would otherwise write buffer
+		// slots that encoding/json leaves stale.
+		if bit == 0 || seen&bit != 0 {
+			return 0, 0, 0, false
+		}
+		seen |= bit
+		var valid bool
+		if field != nil {
+			*field, valid = s.int()
+		} else {
+			*alts, valid = s.ints(*alts)
+		}
+		if !valid {
+			return 0, 0, 0, false
+		}
+		if c = s.next(); c == ',' {
+			c = s.next()
+			if c == '}' { // trailing comma
+				return 0, 0, 0, false
+			}
+		} else if c != '}' {
+			return 0, 0, 0, false
+		}
+	}
+	s.skipSpace()
+	return t, d, w, s.i == len(s.b)
+}
+
+// recScanner is scanRecord's cursor over one line.
+type recScanner struct {
+	b []byte
+	i int
+}
+
+func (s *recScanner) skipSpace() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace and consumes the following byte; 0 at the end of the
+// line (a NUL byte in the line is rejected by every caller as well).
+func (s *recScanner) next() byte {
+	s.skipSpace()
+	if s.i == len(s.b) {
+		return 0
+	}
+	c := s.b[s.i]
+	s.i++
+	return c
+}
+
+// int consumes a JSON integer literal that fits an int: an optional minus,
+// then "0" or up to 18 digits without a leading zero. A fraction or exponent
+// is left unconsumed, so the caller's delimiter check rejects it.
+func (s *recScanner) int() (int, bool) {
+	s.skipSpace()
+	i := s.i
+	neg := i < len(s.b) && s.b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var v int64
+	for i < len(s.b) && i-start < 19 && '0' <= s.b[i] && s.b[i] <= '9' {
+		v = v*10 + int64(s.b[i]-'0')
+		i++
+	}
+	digits := i - start
+	if digits == 0 || digits > 18 || digits > 1 && s.b[start] == '0' {
+		return 0, false
+	}
+	if neg {
+		v = -v
+	}
+	if int64(int(v)) != v { // 32-bit int
+		return 0, false
+	}
+	s.i = i
+	return int(v), true
+}
+
+// ints consumes a JSON array of integer literals, appending them to a. It
+// returns the grown slice even on failure, so the caller keeps the buffer.
+func (s *recScanner) ints(a []int) ([]int, bool) {
+	if s.next() != '[' {
+		return a, false
+	}
+	s.skipSpace()
+	if s.i < len(s.b) && s.b[s.i] == ']' {
+		s.i++
+		return a, true
+	}
+	for {
+		v, ok := s.int()
+		if !ok {
+			return a, false
+		}
+		// Append only once the delimiter proves v a whole literal: a slot
+		// written for "1" of "1.5" would differ from the stale slot
+		// encoding/json leaves behind when it rejects the element.
+		switch s.next() {
+		case ',':
+			a = append(a, v)
+		case ']':
+			return append(a, v), true
+		default:
+			return a, false
+		}
+	}
 }
 
 // ReadStream materializes a whole JSONL stream as a validated trace — the

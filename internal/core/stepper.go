@@ -11,9 +11,9 @@ import "fmt"
 // the same arrival sequence — the property the serve-mode equivalence checks
 // pin.
 //
-// All per-round scratch — the served set, the pending buffer, the round
-// context — is allocated once and reused, so a simulation's allocation cost
-// is dominated by the strategy, not the engine.
+// All per-round scratch — the pending buffer, the round context — is
+// allocated once and reused, so a simulation's allocation cost is dominated
+// by the strategy, not the engine.
 type Stepper struct {
 	s       Strategy
 	n, d    int
@@ -22,7 +22,6 @@ type Stepper struct {
 	res     *Result
 	pending []*Request
 	ctx     RoundContext
-	served  map[int]bool
 
 	// KeepLog appends every fulfillment to Result.Log (the batch engine's
 	// default). Long-running daemons disable it to keep memory bounded and
@@ -68,7 +67,6 @@ func NewStepperModel(s Strategy, n, d, depth int, m ServiceModel) *Stepper {
 			D:           d,
 			PerResource: make([]int, n),
 		},
-		served:  make(map[int]bool, n),
 		KeepLog: true,
 	}
 	st.ctx.N = n
@@ -133,11 +131,14 @@ func (st *Stepper) Step(arrivals []*Request) RoundStats {
 
 	rs.Arrived = len(arrivals)
 
-	// 4. Serve the current row. Under the unit model the served slot is
-	// released immediately (Unassign); under a general model the storage cell
-	// is consumed but the occupancy of the hold span stays busy until those
-	// rounds slide past the window.
-	clear(st.served)
+	// 4. Serve the current row. A pending request is served now exactly when
+	// the row holds it in a cell of one of its alternatives, so pending is
+	// filtered against the row before the row is released. Under the unit
+	// model the served slot is released immediately (Unassign); under a
+	// general model the storage cell is consumed but the occupancy of the
+	// hold span stays busy until those rounds slide past the window.
+	st.pending = st.w.dropHeldAt(t, st.pending)
+	served := 0
 	if st.w.occ == nil {
 		for i := 0; i < st.n; i++ {
 			r := st.w.At(i, t)
@@ -157,7 +158,7 @@ func (st *Stepper) Step(arrivals []*Request) RoundStats {
 			if st.Observe != nil {
 				st.Observe(f)
 			}
-			st.served[r.ID] = true
+			served++
 		}
 	} else {
 		capc := st.w.model.Cap
@@ -182,23 +183,14 @@ func (st *Stepper) Step(arrivals []*Request) RoundStats {
 				if st.Observe != nil {
 					st.Observe(f)
 				}
-				st.served[r.ID] = true
+				served++
 			}
 			if started == 0 {
 				rs.Idle++
 			}
 		}
 	}
-	if len(st.served) > 0 {
-		live := st.pending[:0]
-		for _, r := range st.pending {
-			if !st.served[r.ID] {
-				live = append(live, r)
-			}
-		}
-		st.pending = live
-	}
-	rs.Served = len(st.served)
+	rs.Served = served
 	rs.Pending = len(st.pending)
 	if st.TrackBacklog {
 		for _, r := range st.pending {

@@ -257,6 +257,34 @@ func (w *Window) consume(r *Request) {
 	delete(w.where, r.ID)
 }
 
+// dropHeldAt filters reqs in place, dropping every request that holds a cell
+// of the given round: the requests the engine serves when that round is
+// current. A request can hold only cells of its own alternatives, so the test
+// costs at most len(Alts)·Cap pointer compares and no where lookup.
+func (w *Window) dropHeldAt(round int, reqs []*Request) []*Request {
+	row := w.row(round)
+	capc := w.model.Cap
+	live := reqs[:0]
+	for _, r := range reqs {
+		if !heldIn(row, capc, r) {
+			live = append(live, r)
+		}
+	}
+	return live
+}
+
+// heldIn reports whether row holds r in a cell of one of r's alternatives.
+func heldIn(row []*Request, capc int, r *Request) bool {
+	for _, a := range r.Alts {
+		for _, q := range row[a*capc : (a+1)*capc] {
+			if q == r {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Snapshot returns all current assignments. The order is deterministic:
 // ascending (round, resource).
 func (w *Window) Snapshot() []Assignment {

@@ -41,7 +41,9 @@ type Incremental struct {
 	// of failed searches: each right is fully explored by at most one
 	// failure instead of by every one. Without this, an oversubscribed
 	// segment pays Θ(E) per failed insertion — the Kuhn worst case that made
-	// the incremental path slower than batched Hopcroft–Karp.
+	// the incremental path slower than batched Hopcroft–Karp. The one-shot
+	// augmenter behind ExtendFromLeft/ExtendFromRight prunes the same way
+	// within one pass.
 	gen   uint32
 	deadR []uint32 // gen when right vertex joined a saturated region
 	trail []int32  // rights visited by the current search, for marking

@@ -31,6 +31,14 @@ func LexMax(g *Graph, classOf []int32) *Matching {
 // matched; starting from a non-empty matching yields the lexicographic optimum
 // among matchings whose matched-right set contains m's matched-right set.
 // It returns the number of augmentations performed.
+//
+// The slot searches run as one ExtendFromRight pass, so a slot that cannot be
+// filled costs only the part of its component no earlier failed slot already
+// proved saturated: a failed search leaves a region whose lefts are all
+// matched into it and whose edges all stay inside it, which no later
+// augmenting path can leave (the augmenter's dead-region invariant, the same
+// pruning Incremental applies across insertions). The greedy's matching is
+// unchanged by the pruning.
 func LexMaxExtend(g *Graph, m *Matching, classOf []int32) int {
 	checkClassLen(g, classOf)
 	order := rightsByClass(classOf)

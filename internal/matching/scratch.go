@@ -23,30 +23,28 @@ type Scratch struct {
 // ExtendFromLeft is ExtendFromLeft with reused search buffers.
 func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
+	sc.aug.beginPass(len(order))
 	gained := 0
 	for _, l := range order {
-		if m.L2R[l] != None {
-			continue
-		}
-		if sc.aug.augmentFromLeft(m, l) {
+		if m.L2R[l] == None && sc.aug.augmentFromLeft(m, l) {
 			gained++
 		}
 	}
+	sc.aug.endPass()
 	return gained
 }
 
 // ExtendFromRight is ExtendFromRight with reused search buffers.
 func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
+	sc.aug.beginPass(len(order))
 	gained := 0
 	for _, r := range order {
-		if m.R2L[r] != None {
-			continue
-		}
-		if sc.aug.augmentFromRight(m, r) {
+		if m.R2L[r] == None && sc.aug.augmentFromRight(m, r) {
 			gained++
 		}
 	}
+	sc.aug.endPass()
 	return gained
 }
 

@@ -1,10 +1,14 @@
 package strategies
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"reqsched/internal/core"
 )
+
+// edfPruneMin is the served-set size below which EDF never sweeps it.
+const edfPruneMin = 64
 
 // EDF implements the Earliest Deadline First reference strategy of
 // Observations 3.1 and 3.2: every resource works independently, serving each
@@ -21,7 +25,13 @@ import (
 type EDF struct {
 	coordinated bool
 	queues      [][]*core.Request
-	served      map[int]bool
+	// served maps each served request's ID to its deadline. An entry is
+	// read only while a copy of its request is queued with deadline >= T,
+	// so entries past their deadline are swept out whenever the map has
+	// doubled since the last sweep: amortised O(1) per served request, and
+	// the map stays within twice the live requests under endless traffic.
+	served  map[int]int
+	pruneAt int
 }
 
 // NewEDF returns the independent-copies EDF strategy.
@@ -42,11 +52,20 @@ func (e *EDF) Name() string {
 // Begin implements core.Strategy.
 func (e *EDF) Begin(n, d int) {
 	e.queues = make([][]*core.Request, n)
-	e.served = make(map[int]bool)
+	e.served = make(map[int]int)
+	e.pruneAt = edfPruneMin
 }
 
 // Round implements core.Strategy.
 func (e *EDF) Round(ctx *core.RoundContext) {
+	if len(e.served) >= e.pruneAt {
+		for id, deadline := range e.served {
+			if deadline < ctx.T {
+				delete(e.served, id)
+			}
+		}
+		e.pruneAt = max(2*len(e.served), edfPruneMin)
+	}
 	for _, r := range ctx.Arrivals {
 		for _, a := range r.Alts {
 			e.queues[a] = append(e.queues[a], r)
@@ -62,19 +81,14 @@ func (e *EDF) Round(ctx *core.RoundContext) {
 		// whole queue each round is O(q log q); queues are short in all the
 		// workloads of interest and clarity wins.
 		q := e.queues[i]
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].Deadline() != q[b].Deadline() {
-				return q[a].Deadline() < q[b].Deadline()
-			}
-			return q[a].ID < q[b].ID
-		})
+		slices.SortStableFunc(q, byDeadlineThenID)
 		for len(q) > 0 {
 			r := q[0]
 			if r.Deadline() < ctx.T {
 				q = q[1:] // expired copy
 				continue
 			}
-			if e.served[r.ID] {
+			if _, done := e.served[r.ID]; done {
 				if e.coordinated {
 					q = q[1:] // cancelled copy: try the next one
 					continue
@@ -87,9 +101,17 @@ func (e *EDF) Round(ctx *core.RoundContext) {
 			// Serve r now.
 			q = q[1:]
 			ctx.W.Assign(r, i, ctx.T)
-			e.served[r.ID] = true
+			e.served[r.ID] = r.Deadline()
 			break
 		}
 		e.queues[i] = q
 	}
+}
+
+// byDeadlineThenID is EDF's queue order: deadline, then ID.
+func byDeadlineThenID(a, b *core.Request) int {
+	if c := cmp.Compare(a.Deadline(), b.Deadline()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -133,27 +133,23 @@ type benchIncremental struct {
 	AllocReduction float64 `json:"alloc_reduction_vs_cold"`
 }
 
-// benchServeEntry is one serve-daemon configuration's measured ingest rate:
-// a full session — HTTP ingest of the whole JSONL stream, engine stepping
-// under the virtual clock, rolling-optimum worker, drain — per op.
+// benchServeEntry is the serve daemon's measured ingest rate: a full
+// session — HTTP ingest of the whole JSONL stream, engine stepping under the
+// virtual clock, rolling-optimum worker, drain — per op. Mode names the
+// daemon shape the baseline row gates.
 type benchServeEntry struct {
 	Mode           string  `json:"mode"`
-	IngestBatch    int     `json:"ingest_batch"`
-	RollingBatch   bool    `json:"rolling_batch"`
 	NsPerRequest   float64 `json:"ns_per_request"`
 	RequestsPerSec float64 `json:"requests_per_sec"`
 }
 
-// benchServeIngest records end-to-end daemon ingest throughput, legacy shape
-// (record-at-a-time admission locking, whole-segment rolling solves) against
-// the batched + incremental default.
+// benchServeIngest records end-to-end daemon ingest throughput.
 type benchServeIngest struct {
-	TargetRequests  int               `json:"target_requests"`
-	Workload        benchWorkload     `json:"workload"`
-	Segments        int               `json:"segments"`
-	GOMAXPROCS      int               `json:"gomaxprocs"`
-	Entries         []benchServeEntry `json:"entries"`
-	SpeedupVsLegacy float64           `json:"speedup_vs_legacy"`
+	TargetRequests int               `json:"target_requests"`
+	Workload       benchWorkload     `json:"workload"`
+	Segments       int               `json:"segments"`
+	GOMAXPROCS     int               `json:"gomaxprocs"`
+	Entries        []benchServeEntry `json:"entries"`
 }
 
 // benchModelEntry is one service model's engine timing: the greedy router on
@@ -403,17 +399,9 @@ func runBenchModelHold(requests int, stderr io.Writer) (*benchModelHold, error) 
 	return o, nil
 }
 
-// serveIngestModes are the two daemon shapes the serve section compares. The
-// legacy shape is the pre-sharding daemon: one admission lock acquisition per
-// record and whole-segment rolling solves.
-var serveIngestModes = []struct {
-	mode         string
-	ingestBatch  int
-	rollingBatch bool
-}{
-	{"legacy", 1, true},
-	{"batched_incremental", 0, false},
-}
+// serveIngestMode names the daemon shape the serve section measures:
+// batched admission with the incremental rolling optimum.
+const serveIngestMode = "batched_incremental"
 
 // runBenchServeIngest measures end-to-end daemon throughput: the bursty JSONL
 // stream POSTed to a virtual-clock serve.Server, drain included, so decode,
@@ -430,67 +418,46 @@ func runBenchServeIngest(requests int, stderr io.Writer) (*benchServeIngest, err
 	}
 	body := buf.Bytes()
 
-	var rolling *serve.RollingRatio // cross-checked across modes
-	for _, m := range serveIngestModes {
-		var mrolling serve.RollingRatio
-		session := func() error {
-			// A_fix is the cheapest engine strategy, so the session time is
-			// dominated by the machinery under test — decode, admission,
-			// rolling optimum — not by strategy bookkeeping.
-			s, err := serve.New(serve.Config{
-				N: tr.N, D: tr.D,
-				Strategy: reqsched.NewAFix(), StrategyName: "A_fix",
-				Virtual:      true,
-				QueueCap:     1 << 20,
-				IngestBatch:  m.ingestBatch,
-				RollingBatch: m.rollingBatch,
-			})
-			if err != nil {
-				return err
-			}
-			rw := httptest.NewRecorder()
-			s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(body)))
-			if rw.Code != http.StatusOK {
-				return fmt.Errorf("serve ingest (%s): status %d: %s", m.mode, rw.Code, rw.Body.String())
-			}
-			met := s.Drain()
-			if met.Requests != tr.NumRequests() {
-				return fmt.Errorf("serve ingest (%s): admitted %d of %d", m.mode, met.Requests, tr.NumRequests())
-			}
-			mrolling = met.Rolling
-			return nil
-		}
-		var serr error
-		ns := timeIt(3, func() {
-			if err := session(); err != nil && serr == nil {
-				serr = err
-			}
+	session := func() error {
+		// A_fix is the cheapest engine strategy, so the session time is
+		// dominated by the machinery under test — decode, admission, rolling
+		// optimum — not by strategy bookkeeping.
+		s, err := serve.New(serve.Config{
+			N: tr.N, D: tr.D,
+			Strategy: reqsched.NewAFix(), StrategyName: "A_fix",
+			Virtual:  true,
+			QueueCap: 1 << 20,
 		})
-		if serr != nil {
-			return nil, serr
+		if err != nil {
+			return err
 		}
-		if rolling == nil {
-			r := mrolling
-			rolling = &r
-		} else if *rolling != mrolling {
-			return nil, fmt.Errorf("BUG: serve ingest rolling totals differ: %s %+v vs %+v",
-				m.mode, mrolling, *rolling)
+		rw := httptest.NewRecorder()
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(body)))
+		if rw.Code != http.StatusOK {
+			return fmt.Errorf("serve ingest: status %d: %s", rw.Code, rw.Body.String())
 		}
-		perReq := ns / float64(tr.NumRequests())
-		o.Entries = append(o.Entries, benchServeEntry{
-			Mode:           m.mode,
-			IngestBatch:    m.ingestBatch,
-			RollingBatch:   m.rollingBatch,
-			NsPerRequest:   perReq,
-			RequestsPerSec: 1e9 / perReq,
-		})
-		fmt.Fprintf(stderr, "serve ingest %-20s %8.0f ns/request  %12.0f requests/s\n",
-			m.mode, perReq, 1e9/perReq)
+		if met := s.Drain(); met.Requests != tr.NumRequests() {
+			return fmt.Errorf("serve ingest: admitted %d of %d", met.Requests, tr.NumRequests())
+		}
+		return nil
 	}
-	if len(o.Entries) == 2 && o.Entries[1].NsPerRequest > 0 {
-		o.SpeedupVsLegacy = o.Entries[0].NsPerRequest / o.Entries[1].NsPerRequest
-		fmt.Fprintf(stderr, "serve ingest speedup %.2fx\n", o.SpeedupVsLegacy)
+	var serr error
+	ns := timeIt(3, func() {
+		if err := session(); err != nil && serr == nil {
+			serr = err
+		}
+	})
+	if serr != nil {
+		return nil, serr
 	}
+	perReq := ns / float64(tr.NumRequests())
+	o.Entries = append(o.Entries, benchServeEntry{
+		Mode:           serveIngestMode,
+		NsPerRequest:   perReq,
+		RequestsPerSec: 1e9 / perReq,
+	})
+	fmt.Fprintf(stderr, "serve ingest %-20s %8.0f ns/request  %12.0f requests/s\n",
+		serveIngestMode, perReq, 1e9/perReq)
 	return o, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -54,8 +53,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		roundMS  = fs.Int("round-ms", 100, "wall-clock round length in milliseconds")
 		virtual  = fs.Bool("virtual-clock", false, "deterministic clock: record arrival rounds drive the engine instead of a ticker")
 		queue    = fs.Int("queue", 4096, "arrival queue capacity (full queue answers 429)")
-		batch    = fs.Int("ingest-batch", 0, "records admitted per lock acquisition (0: 256, 1: record at a time)")
-		stripes  = fs.Int("stripes", 0, "wall-clock arrival queue shards (0: GOMAXPROCS; ignored under -virtual-clock)")
 		pprofSrv = fs.String("pprof", "", "also serve net/http/pprof on this address (e.g. localhost:6060; empty: off)")
 	)
 	workers := workersFlag(fs)
@@ -82,8 +79,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		Virtual:      *virtual,
 		RoundDur:     time.Duration(*roundMS) * time.Millisecond,
 		QueueCap:     *queue,
-		IngestBatch:  *batch,
-		Stripes:      *stripes,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -107,7 +102,7 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrvr = &http.Server{Handler: pmux}
+		pprofSrvr = newHTTPServer(pmux)
 		defer pprofSrvr.Close()
 		go func() { _ = pprofSrvr.Serve(pln) }()
 		fmt.Fprintf(stdout, "serve: pprof on http://%s/debug/pprof/\n", pln.Addr())
@@ -129,7 +124,7 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	fmt.Fprintf(stdout, "serve: listening on %s strategy=%s n=%d d=%d%s %s queue=%d\n",
 		ln.Addr(), name, *n, *d, model, clock, *queue)
 
-	httpSrv := &http.Server{Handler: s}
+	httpSrv := newHTTPServer(s)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -182,89 +177,21 @@ func serveChecks(add func(name string, ok bool, format string, args ...interface
 		"daemon %d/%d OPT %d vs engine %d/%d OPT %d (%d segments, ingest %d)",
 		m.Fulfilled, m.Expired, m.Rolling.Opt, want.Fulfilled, want.Expired, opt,
 		m.Rolling.Solved, rw.Code)
-
-	// The ingest batch size only changes lock cadence, and the rolling batch
-	// fallback only changes how segments are solved: both must reproduce the
-	// incremental default's totals and rolling ratio exactly.
-	run := func(cfg serve.Config) (serve.Metrics, bool) {
-		cfg.N, cfg.D, cfg.Virtual = tr.N, tr.D, true
-		cfg.Strategy = reqsched.NewABalance()
-		s, err := serve.New(cfg)
-		if err != nil {
-			return serve.Metrics{}, false
-		}
-		rw := httptest.NewRecorder()
-		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(buf.Bytes())))
-		return s.Drain(), rw.Code == http.StatusOK
-	}
-	deep, okDeep := run(serve.Config{})
-	shallow, okShallow := run(serve.Config{IngestBatch: 1})
-	batch, okBatch := run(serve.Config{RollingBatch: true})
-	sameTotals := func(a, b serve.Metrics) bool {
-		return a.Requests == b.Requests && a.Fulfilled == b.Fulfilled &&
-			a.Expired == b.Expired && a.Rolling == b.Rolling
-	}
-	add("serve: ingest batch sizes identical", okDeep && okShallow && sameTotals(deep, shallow),
-		"batch 256: %d/%d rolling %+v, batch 1: %d/%d rolling %+v",
-		deep.Requests, deep.Fulfilled, deep.Rolling,
-		shallow.Requests, shallow.Fulfilled, shallow.Rolling)
-	add("serve: rolling batch fallback matches incremental", okBatch && sameTotals(deep, batch),
-		"incremental rolling %+v vs batch-solver rolling %+v", deep.Rolling, batch.Rolling)
-
-	serveStripedCheck(add)
 }
 
-// serveStripedCheck pins the sharded wall-clock ingest contract for
-// cmd/verify: a sequential client (one POST per tick) driving the striped
-// arrival queue produces a schedule bit-identical to the single-queue path —
-// same request IDs, same fulfillments, same rolling ratio.
-func serveStripedCheck(add func(name string, ok bool, format string, args ...interface{})) {
-	const name = "serve: striped ingest vs single queue"
-	session := func(stripes int) (*core.Result, serve.Metrics, error) {
-		s, err := serve.New(serve.Config{
-			N: 4, D: 3, Strategy: reqsched.NewABalance(), KeepLog: true,
-			QueueCap: 1 << 12, Stripes: stripes,
-		})
-		if err != nil {
-			return nil, serve.Metrics{}, err
-		}
-		rng := rand.New(rand.NewSource(7))
-		for round := 0; round < 12; round++ {
-			var sb strings.Builder
-			for i := 0; i < 15; i++ {
-				a := rng.Intn(4)
-				c := rng.Intn(3)
-				if c >= a {
-					c++
-				}
-				fmt.Fprintf(&sb, `{"alts":[%d,%d]}`+"\n", a, c)
-			}
-			rw := httptest.NewRecorder()
-			s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", strings.NewReader(sb.String())))
-			if rw.Code != http.StatusOK {
-				return nil, serve.Metrics{}, fmt.Errorf("round %d: ingest status %d", round, rw.Code)
-			}
-			s.Tick()
-		}
-		m := s.Drain()
-		return s.FinalResult(), m, nil
-	}
-	single, m1, err1 := session(1)
-	striped, m4, err4 := session(4)
-	if err1 != nil || err4 != nil {
-		add(name, false, "single: %v, striped: %v", err1, err4)
-		return
-	}
-	same := single.Requests == striped.Requests && single.Fulfilled == striped.Fulfilled &&
-		len(single.Log) == len(striped.Log) && m1.Rolling == m4.Rolling
-	for i := 0; same && i < len(single.Log); i++ {
-		a, b := single.Log[i], striped.Log[i]
-		same = a.Req.ID == b.Req.ID && a.Res == b.Res && a.Round == b.Round
-	}
-	add(name, same,
-		"single queue %d/%d (%d fulfillments, rolling %+v) vs 4 stripes %d/%d (%d, rolling %+v)",
-		single.Requests, single.Fulfilled, len(single.Log), m1.Rolling,
-		striped.Requests, striped.Fulfilled, len(striped.Log), m4.Rolling)
+// Connection timeouts of the daemon's listeners. A client that opens a
+// connection and never finishes its request header, or parks an idle
+// keep-alive connection, is dropped instead of holding a goroutine forever.
+// There is deliberately no read timeout: a long trace-file POST is legitimate.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds every listener the daemon runs, so they share the
+// connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // buildStrategy resolves a "name[,key=value...]" spec against the registry.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -32,6 +33,20 @@ func (b *syncBuf) String() string {
 	return b.buf.String()
 }
 
+// awaitAddr polls the daemon's stdout until pattern's first group matches and
+// returns it — the address serveMain reports once its listener is up.
+func awaitAddr(t *testing.T, out, errb *syncBuf, pattern string) string {
+	t.Helper()
+	re := regexp.MustCompile(pattern)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if m := re.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+	}
+	t.Fatalf("daemon never reported %q; stdout: %s stderr: %s", pattern, out.String(), errb.String())
+	return ""
+}
+
 // TestServeMainLifecycle boots the real daemon main on an ephemeral port,
 // streams records over TCP, and shuts it down through context cancellation —
 // the same path the signal handler takes.
@@ -44,17 +59,7 @@ func TestServeMainLifecycle(t *testing.T) {
 		exit <- serveMain(ctx, []string{"-addr", "127.0.0.1:0", "-virtual-clock", "-n", "2", "-d", "2"}, &out, &errb)
 	}()
 
-	addrRE := regexp.MustCompile(`listening on (\S+)`)
-	var addr string
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if m := addrRE.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("daemon never reported its address; stderr: %s", errb.String())
-	}
+	addr := awaitAddr(t, &out, &errb, `listening on (\S+)`)
 
 	body := `{"n":2,"d":2}` + "\n" + `{"alts":[0,1]}` + "\n" + `{"t":1,"alts":[1,0]}` + "\n"
 	resp, err := http.Post(fmt.Sprintf("http://%s/v1/requests", addr), "application/jsonl", strings.NewReader(body))
@@ -104,17 +109,7 @@ func TestServeMainPprof(t *testing.T) {
 		}, &out, &errb)
 	}()
 
-	pprofRE := regexp.MustCompile(`pprof on http://(\S+)/debug/pprof/`)
-	var addr string
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if m := pprofRE.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("daemon never reported the pprof address; stdout: %s", out.String())
-	}
+	addr := awaitAddr(t, &out, &errb, `pprof on http://(\S+)/debug/pprof/`)
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", addr))
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +121,7 @@ func TestServeMainPprof(t *testing.T) {
 	}
 
 	// The daemon's own handler must not expose the profiler.
-	mainRE := regexp.MustCompile(`listening on (\S+)`)
-	m := mainRE.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no daemon address in output: %s", out.String())
-	}
-	resp, err = http.Get(fmt.Sprintf("http://%s/debug/pprof/", m[1]))
+	resp, err = http.Get(fmt.Sprintf("http://%s/debug/pprof/", awaitAddr(t, &out, &errb, `listening on (\S+)`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +164,41 @@ func TestServeMainUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := serveMain(context.Background(), []string{"-addr", "256.256.256.256:1"}, &out, &errb); code != 1 {
 		t.Errorf("unlistenable address: exit %d, want 1", code)
+	}
+}
+
+// TestServeMainDropsStalledHeader pins the listener's header timeout: a
+// client that sends half a request line and then nothing is disconnected by
+// the running daemon within readHeaderTimeout, instead of holding a
+// connection and its goroutine forever.
+func TestServeMainDropsStalledHeader(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out, errb syncBuf
+	exit := make(chan int, 1)
+	go func() {
+		exit <- serveMain(ctx, []string{"-addr", "127.0.0.1:0", "-virtual-clock", "-n", "2", "-d", "2"}, &out, &errb)
+	}()
+	addr := awaitAddr(t, &out, &errb, `listening on (\S+)`)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/heal"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	_, err = io.Copy(io.Discard, conn) // returns once the daemon closes the connection
+	if err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+
+	cancel()
+	if code := <-exit; code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, errb.String())
 	}
 }

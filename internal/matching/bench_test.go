@@ -121,29 +121,6 @@ func BenchmarkSymmetricDifference(b *testing.B) {
 	}
 }
 
-func BenchmarkGeneralBlossom(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{100, 500, 2000} {
-		n := n
-		g := NewGeneralGraph(n)
-		for u := 0; u < n; u++ {
-			for k := 0; k < 4; k++ {
-				v := rng.Intn(n)
-				if v != u {
-					g.AddEdge(u, v)
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				size = GeneralMaximumSize(g)
-			}
-			b.ReportMetric(float64(size), "matching")
-		})
-	}
-}
-
 func BenchmarkMaxProfitMatching(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	g := twoChoiceGraph(rng, 2000, 16, 4)

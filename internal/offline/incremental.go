@@ -136,20 +136,3 @@ func OptimumIncremental(tr *core.Trace) int {
 	}
 	return opt + o.Seal()
 }
-
-// Solver is a reusable batch segment solver: Optimum(tr) with the segSolver
-// scratch (graph, matching, Hopcroft–Karp buffers) kept across calls, so a
-// long-running consumer solving many segments — the serve rolling-ratio
-// worker's batch fallback — allocates per its largest segment, not per
-// segment. Not safe for concurrent use.
-type Solver struct {
-	ss *segSolver
-}
-
-// NewSolver returns a batch solver with empty scratch.
-func NewSolver() *Solver { return &Solver{ss: newSegSolver()} }
-
-// Optimum returns exactly Optimum(tr), reusing the solver's scratch.
-func (s *Solver) Optimum(tr *core.Trace) int {
-	return int(s.ss.cardinality(spaceOf(tr), wholeTraceSegment(tr)))
-}

@@ -10,16 +10,11 @@ import (
 	"reqsched/internal/workload"
 )
 
-// checkIncremental asserts OptimumIncremental == Optimum, and that a reused
-// Solver agrees too.
-func checkIncremental(t *testing.T, name string, tr *core.Trace, sv *Solver) {
+// checkIncremental asserts OptimumIncremental == Optimum.
+func checkIncremental(t *testing.T, name string, tr *core.Trace) {
 	t.Helper()
-	want := Optimum(tr)
-	if got := OptimumIncremental(tr); got != want {
+	if got, want := OptimumIncremental(tr), Optimum(tr); got != want {
 		t.Fatalf("%s: OptimumIncremental = %d, Optimum = %d", name, got, want)
-	}
-	if got := sv.Optimum(tr); got != want {
-		t.Fatalf("%s: Solver.Optimum = %d, Optimum = %d", name, got, want)
 	}
 }
 
@@ -42,7 +37,6 @@ func TestOptimumIncrementalEqualsOptimumOnAdversaries(t *testing.T) {
 		adversary.Universal(3, 3),
 		adversary.Universal(6, 2),
 	}
-	sv := NewSolver()
 	for _, c := range cons {
 		tr := c.Trace
 		if tr == nil {
@@ -51,28 +45,27 @@ func TestOptimumIncrementalEqualsOptimumOnAdversaries(t *testing.T) {
 				t.Fatalf("%s: adaptive trace invalid: %v", c.Name, err)
 			}
 		}
-		checkIncremental(t, c.Name, tr, sv)
+		checkIncremental(t, c.Name, tr)
 	}
 }
 
 func TestOptimumIncrementalEqualsOptimumRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	sv := NewSolver()
 	for i := 0; i < 150; i++ {
 		tr := gappedTrace(rng, 2+rng.Intn(4), 1+rng.Intn(3), 1+rng.Intn(4), 5)
-		checkIncremental(t, "gapped", tr, sv)
+		checkIncremental(t, "gapped", tr)
 	}
 	for i := 0; i < 150; i++ {
 		tr := randomTrace(rng, 2+rng.Intn(5), 1+rng.Intn(4), 1+rng.Intn(8), 6)
-		checkIncremental(t, "dense", tr, sv)
+		checkIncremental(t, "dense", tr)
 	}
 	for seed := int64(0); seed < 100; seed++ {
 		cfg := workload.Config{N: 4, D: 3, Rounds: 10, Rate: 3, Seed: seed}
-		checkIncremental(t, "uniform", workload.Uniform(cfg), sv)
+		checkIncremental(t, "uniform", workload.Uniform(cfg))
 	}
 	for seed := int64(0); seed < 100; seed++ {
 		cfg := workload.Config{N: 4, D: 2, Rounds: 12, Rate: 2, Seed: seed}
-		checkIncremental(t, "bursty", workload.Bursty(cfg, 3, 4, 5), sv)
+		checkIncremental(t, "bursty", workload.Bursty(cfg, 3, 4, 5))
 	}
 }
 
@@ -146,13 +139,6 @@ func BenchmarkOptimumIncrementalVsCold(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			OptimumIncremental(tr)
-		}
-	})
-	b.Run("solver_reused", func(b *testing.B) {
-		b.ReportAllocs()
-		sv := NewSolver()
-		for i := 0; i < b.N; i++ {
-			sv.Optimum(tr)
 		}
 	})
 	b.Run("cold", func(b *testing.B) {

@@ -43,11 +43,23 @@ type ingestReply struct {
 	Offset   *int64 `json:"offset,omitempty"`
 }
 
-// ingestBatch is one connection's pooled decode buffer: up to IngestBatch
-// records plus each line's byte offset. Record slots keep their Alts capacity
-// across batches and connections, so a warm daemon scans and decodes
-// canonical record lines without allocating (lines in any other JSON
-// spelling take encoding/json's allocating path); admission copies the
+// ingestBatchSize is how many records one ingest connection decodes before
+// admitting them under a single engine-lock acquisition. Admission order and
+// verdicts are those of record-at-a-time admission; batching only changes how
+// often the lock is taken.
+const ingestBatchSize = 256
+
+// maxLineBytes caps one ingest line, terminator included. A record's
+// alternatives are distinct resources, so a real record is far shorter; the
+// cap only stops a client that never sends a newline from making the daemon
+// buffer its whole body.
+const maxLineBytes = 1 << 20
+
+// ingestBatch is one connection's pooled decode buffer: up to
+// ingestBatchSize records plus each line's byte offset. Record slots keep
+// their Alts capacity across batches and connections, so a warm daemon scans
+// and decodes canonical record lines without allocating (lines in any other
+// JSON spelling take encoding/json's allocating path); admission copies the
 // alternatives out.
 type ingestBatch struct {
 	recs []trace.StreamRecord
@@ -77,34 +89,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		batch.offs = batch.offs[:0]
 		ingestPool.Put(batch)
 	}()
-	var shard *queueShard
-	if s.sq != nil {
-		shard = s.sq.pick()
-	}
-	// admit pushes the decoded batch through admission — one engine-lock
-	// acquisition for the whole batch, or the lock-free shard path under
-	// striping. Record-at-a-time verdicts and order are preserved exactly; on
-	// a rejection it reports the failing record and everything admitted stays.
+	// admit pushes the decoded batch through admission under one engine-lock
+	// acquisition. Record-at-a-time verdicts and order are preserved exactly;
+	// on a rejection it reports the failing record and everything admitted
+	// stays.
 	admit := func() (trace.StreamRecord, int64, admitVerdict) {
 		n := 0
 		verdict := admitOK
-		if shard != nil {
-			for _, rec := range batch.recs {
-				if verdict = s.admitStriped(rec, shard); verdict != admitOK {
-					break
-				}
-				n++
+		s.mu.Lock()
+		for _, rec := range batch.recs {
+			if verdict = s.admitLocked(rec); verdict != admitOK {
+				break
 			}
-		} else {
-			s.mu.Lock()
-			for _, rec := range batch.recs {
-				if verdict = s.admitLocked(rec); verdict != admitOK {
-					break
-				}
-				n++
-			}
-			s.mu.Unlock()
+			n++
 		}
+		s.mu.Unlock()
 		accepted += n
 		var failRec trace.StreamRecord
 		var failOff int64
@@ -131,13 +130,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case admitWindow:
 			fail(http.StatusBadRequest, lineOff,
 				"window %d exceeds server maximum %d", rec.D, s.cfg.MaxD)
+		case admitTooFar:
+			fail(http.StatusBadRequest, lineOff,
+				"arrival round %d is more than %d rounds past round %d", rec.T, maxRoundJump, s.nextRound())
 		}
 	}
 
 	sawHeader := false
 	index := 0
 	for {
-		line, next, err := ScanBodyLine(br, off)
+		line, next, err := trace.ScanJSONLineMax(br, off, maxLineBytes)
 		if err == io.EOF {
 			break
 		}
@@ -152,6 +154,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// the tail but keep everything before it.
 			if torn, ok := err.(*trace.TornTail); ok {
 				fail(http.StatusBadRequest, torn.Offset, "torn final line (no newline)")
+				return
+			}
+			if long, ok := err.(*trace.LineTooLong); ok {
+				s.countReject(&s.rej.Malformed)
+				fail(http.StatusBadRequest, long.Offset, "line exceeds %d bytes", long.Max)
 				return
 			}
 			fail(http.StatusBadRequest, off, "read: %v", err)
@@ -194,7 +201,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		batch.offs = append(batch.offs, lineOff)
 		index++
-		if len(batch.recs) >= s.cfg.IngestBatch {
+		if len(batch.recs) >= ingestBatchSize {
 			if rec, failOff, v := admit(); v != admitOK {
 				failVerdict(rec, failOff, v)
 				return
@@ -208,11 +215,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestReply{Accepted: accepted})
 }
 
-// ScanBodyLine wraps trace.ScanJSONLine for request bodies: identical
-// contract (CRLF-tolerant, raw-byte offsets, *TornTail on an unterminated
-// final line).
-func ScanBodyLine(br *bufio.Reader, off int64) ([]byte, int64, error) {
-	return trace.ScanJSONLine(br, off)
+// countReject bumps one rejection counter under the engine mutex, for
+// rejections found outside admitLocked.
+func (s *Server) countReject(c *int) {
+	s.mu.Lock()
+	*c++
+	s.mu.Unlock()
 }
 
 // parseHeader reports whether line is a bare stream header — an object with
@@ -252,7 +260,6 @@ func (s *Server) retryAfter() int {
 	s.mu.Lock()
 	depth := len(s.queue)
 	s.mu.Unlock()
-	depth += s.stripedDepth()
 	rounds := (depth + s.cfg.N - 1) / s.cfg.N
 	if rounds < 1 {
 		rounds = 1
@@ -349,7 +356,7 @@ func writePrometheus(w io.Writer, m Metrics) {
 		}
 		g("reqsched_latency_exact", e, "1 while no latency sample has been clamped (quantiles are exact).")
 	}
-	g("reqsched_segments_closed_total", m.Rolling.Closed, "Time segments closed by the cutter.")
+	g("reqsched_segments_closed_total", m.Rolling.Closed, "Time segments sealed at clean cuts.")
 	g("reqsched_segments_solved_total", m.Rolling.Solved, "Segments whose offline optimum is folded in.")
 	g("reqsched_rolling_opt_total", m.Rolling.Opt, "Offline optimum over solved segments.")
 	g("reqsched_rolling_alg_total", m.Rolling.Alg, "Strategy fulfillments over solved segments.")

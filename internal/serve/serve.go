@@ -3,19 +3,18 @@
 // wire format) into a bounded arrival queue that feeds a core.Stepper round
 // by round. The daemon runs any registry strategy, exposes live metrics —
 // including a rolling empirical competitive ratio computed online by cutting
-// admitted arrivals into independent time segments and solving each segment's
-// offline optimum on a background worker — and drains gracefully on request
-// or signal. Because the daemon and the batch engine share the same Stepper,
-// a workload streamed through the daemon under the virtual clock produces a
-// schedule bit-identical to core.Run on the equivalent trace.
+// admitted arrivals into independent time segments and matching each
+// segment's requests incrementally on a background worker — and drains
+// gracefully on request or signal. Because the daemon and the batch engine
+// share the same Stepper, a workload streamed through the daemon under the
+// virtual clock produces a schedule bit-identical to core.Run on the
+// equivalent trace.
 package serve
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"reqsched/internal/core"
@@ -46,10 +45,11 @@ type Config struct {
 	Model core.ServiceModel
 	// Virtual selects the deterministic clock: each record's T field is its
 	// authoritative arrival round and the engine advances lazily as larger
-	// rounds arrive. Without it the daemon runs on a wall clock: a ticker
-	// fires every RoundDur and queued arrivals join the round of the next
-	// tick. RoundDur == 0 disables the ticker (rounds advance only through
-	// Tick — the deterministic way to test wall-clock semantics).
+	// rounds arrive, at most maxRoundJump rounds past its next round per
+	// record. Without it the daemon runs on a wall clock: a ticker fires
+	// every RoundDur and queued arrivals join the round of the next tick.
+	// RoundDur == 0 disables the ticker (rounds advance only through Tick —
+	// the deterministic way to test wall-clock semantics).
 	Virtual  bool
 	RoundDur time.Duration
 	// QueueCap bounds the arrival queue; ingest answers 429 with Retry-After
@@ -58,23 +58,6 @@ type Config struct {
 	// KeepLog retains the full fulfillment log in the engine result (memory
 	// grows with traffic; meant for equivalence tests, not production runs).
 	KeepLog bool
-	// IngestBatch is how many records one ingest connection decodes before
-	// admitting them under a single engine-lock acquisition. 0 means 256;
-	// 1 reproduces the original record-at-a-time admission. Admission order
-	// and verdicts are identical for every value — batching only changes how
-	// often the lock is taken.
-	IngestBatch int
-	// Stripes shards the wall-clock arrival queue: each ingest connection
-	// buffers admitted records into one of Stripes shards guarded by its own
-	// lock, and the shards merge — in shard order, IDs assigned at the merge —
-	// at every tick. 0 means GOMAXPROCS; 1 keeps the single queue. Ignored
-	// under the virtual clock, whose admission is order-dependent by contract.
-	Stripes int
-	// RollingBatch switches the rolling-ratio worker back to whole-segment
-	// Hopcroft–Karp solves (with scratch reused across segments) instead of
-	// the default per-request incremental matching. Values are identical
-	// either way; the batch path exists as a fallback and for benchmarks.
-	RollingBatch bool
 }
 
 // Server is the live scheduler daemon. Its HTTP surface is
@@ -93,22 +76,16 @@ type Server struct {
 	mu       sync.Mutex
 	st       *core.Stepper
 	hist     *stats.Histogram
-	cutter   *trace.SegmentCutter
 	queue    []*core.Request // admitted arrivals waiting for their round
 	batchT   int             // virtual clock: round the queue belongs to
 	nextID   int
-	segCount int // requests in the cutter's open segment
+	segCount int // requests in the open segment
 	segMaxDL int // max deadline of the open segment
 	algMark  int // Fulfilled at the last segment cut
 	rej      rejectCounts
 	draining bool
 	finished bool
 	final    *core.Result
-
-	// wall-clock striped ingest fast path (nil when Stripes <= 1 or virtual)
-	sq       *stripedQueue
-	closedIn atomic.Bool  // mirrors draining/finished for the lock-free check
-	round    atomic.Int64 // mirrors st.Round() for the expired-on-arrival check
 
 	// rolling-ratio worker
 	optCh  chan optJob
@@ -123,14 +100,12 @@ type Server struct {
 }
 
 // optJob is one message to the rolling-ratio worker: a batch of admitted
-// requests to feed the incremental matching, a seal of the open segment
-// (carrying its ALG delta), or — on the batch fallback path — a whole closed
-// segment to solve in one go.
+// requests to feed the incremental matching, or a seal of the open segment
+// carrying its ALG delta.
 type optJob struct {
 	batch *reqBatch // incremental feed; worker recycles it into the pool
 	seal  bool      // seal the open segment after feeding batch
-	alg   int       // seal or seg: the closed segment's ALG delta
-	seg   *core.Trace
+	alg   int       // seal: the closed segment's ALG delta
 }
 
 // reqBatch is a pooled slice of admitted requests in flight to the
@@ -177,34 +152,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("serve: queue capacity %d below 1", cfg.QueueCap)
 	}
-	if cfg.IngestBatch < 0 {
-		return nil, fmt.Errorf("serve: ingest batch %d below 0", cfg.IngestBatch)
-	}
-	if cfg.IngestBatch == 0 {
-		cfg.IngestBatch = 256
-	}
-	if cfg.Stripes < 0 {
-		return nil, fmt.Errorf("serve: stripes %d below 0", cfg.Stripes)
-	}
-	if cfg.Stripes == 0 {
-		cfg.Stripes = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Virtual {
-		cfg.Stripes = 1 // admission is order-dependent under the virtual clock
-	}
 	if cfg.StrategyName == "" {
 		cfg.StrategyName = cfg.Strategy.Name()
 	}
 	s := &Server{
 		cfg:      cfg,
 		hist:     stats.NewHistogram(cfg.MaxD),
-		cutter:   trace.NewSegmentCutterModel(cfg.N, cfg.D, cfg.Model),
 		segMaxDL: -1,
 		optCh:    make(chan optJob, 256),
 		stop:     make(chan struct{}),
-	}
-	if cfg.Stripes > 1 {
-		s.sq = newStripedQueue(cfg.Stripes)
 	}
 	s.st = core.NewStepperModel(cfg.Strategy, cfg.N, cfg.D, cfg.MaxD, cfg.Model)
 	s.st.KeepLog = cfg.KeepLog
@@ -217,26 +173,16 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// optWorker maintains the rolling offline optimum. On the default incremental
-// path it feeds every admitted request into a maintained maximum matching —
-// one augmenting-path search per request, all scratch reused across segments —
-// so a seal folds the finished value in immediately instead of paying a cold
-// whole-segment Hopcroft–Karp. On the batch fallback it still solves whole
-// segments, but through a Solver whose graph/matching/search scratch persists
-// across jobs. It touches no engine state, so optimum maintenance never blocks
-// ingest (beyond the bounded channel's backpressure).
+// optWorker maintains the rolling offline optimum: it feeds every admitted
+// request into a maintained maximum matching — one augmenting-path search per
+// request, all scratch reused across segments — so a seal folds the finished
+// value in immediately instead of paying a whole-segment solve. It touches no
+// engine state, so optimum maintenance never blocks ingest (beyond the
+// bounded channel's backpressure).
 func (s *Server) optWorker() {
 	defer s.wg.Done()
 	inc := offline.NewIncrementalOptModel(s.cfg.N, s.cfg.Model)
-	var sv *offline.Solver
 	for job := range s.optCh {
-		if job.seg != nil {
-			if sv == nil {
-				sv = offline.NewSolver()
-			}
-			s.foldSegment(sv.Optimum(job.seg), job.alg)
-			continue
-		}
 		if job.batch != nil {
 			for _, r := range job.batch.recs {
 				inc.Add(r.Arrive, r.D, r.Alts)
@@ -282,7 +228,14 @@ const (
 	admitOutOfOrder
 	admitExpired
 	admitWindow
+	admitTooFar
 )
+
+// maxRoundJump bounds how far past the engine's next round a virtual-clock
+// record may arrive. The engine steps every round it skips, so without a
+// bound one record naming a huge round would hold the engine lock for as
+// long as the client likes.
+const maxRoundJump = 1 << 16
 
 // admitLocked validates rec against the live engine state and, if admissible,
 // queues it for its round. Under the virtual clock rec.T is the arrival
@@ -304,6 +257,10 @@ func (s *Server) admitLocked(rec trace.StreamRecord) admitVerdict {
 		if rec.T < s.batchT || s.st.Round() > rec.T {
 			s.rej.Expired++
 			return admitOutOfOrder
+		}
+		if rec.T-s.st.Round() > maxRoundJump {
+			s.rej.Malformed++
+			return admitTooFar
 		}
 		if rec.T > s.batchT {
 			s.flushLocked()
@@ -335,10 +292,10 @@ func (s *Server) admitLocked(rec trace.StreamRecord) admitVerdict {
 }
 
 // flushLocked admits the queued batch to the engine at round s.batchT:
-// segment bookkeeping first (a batch past every buffered deadline closes the
+// segment bookkeeping first (a batch past every buffered deadline seals the
 // open segment), then the empty rounds up to the batch round, then the batch
-// itself. On the incremental path the batch is also handed to the optimum
-// worker, which has been matching the open segment's requests all along.
+// itself. The batch is also handed to the optimum worker, which has been
+// matching the open segment's requests all along.
 func (s *Server) flushLocked() {
 	if len(s.queue) == 0 {
 		return
@@ -352,24 +309,11 @@ func (s *Server) flushLocked() {
 		// same rule as offline.SegmentTrace — so the epoch-relaxed segment
 		// optima sum to the whole stream's.
 		s.runToLocked(s.segMaxDL + 1)
-		if !s.cfg.RollingBatch {
-			s.sealSegmentLocked()
-		}
-		s.segCount = 0
-		s.segMaxDL = -1
+		s.sealSegmentLocked()
 	}
-	if s.cfg.RollingBatch {
-		for _, r := range s.queue {
-			rec := trace.StreamRecord{T: r.Arrive, D: r.D, W: r.Weight(), Alts: r.Alts}
-			if done := s.cutter.Add(rec); done != nil {
-				s.closeSegmentLocked(done)
-			}
-		}
-	} else {
-		b := batchPool.Get().(*reqBatch)
-		b.recs = append(b.recs[:0], s.queue...)
-		s.optCh <- optJob{batch: b}
-	}
+	b := batchPool.Get().(*reqBatch)
+	b.recs = append(b.recs[:0], s.queue...)
+	s.optCh <- optJob{batch: b}
 	for _, r := range s.queue {
 		s.segCount++
 		if dl := r.Deadline(); dl > s.segMaxDL {
@@ -381,28 +325,16 @@ func (s *Server) flushLocked() {
 	s.queue = s.queue[:0]
 }
 
-// closeSegmentLocked snapshots the engine's fulfillment delta for a closed
-// segment and hands it to the optimum worker (batch fallback path). The
-// engine has completed every round the segment spans, so the delta is exactly
-// the segment's ALG.
-func (s *Server) closeSegmentLocked(seg *core.Trace) {
-	res := s.st.Result()
-	job := optJob{seg: seg, alg: res.Fulfilled - s.algMark}
-	s.algMark = res.Fulfilled
-	s.closed++
-	s.optCh <- job
-}
-
-// sealSegmentLocked tells the optimum worker to seal the open segment
-// (incremental path). The engine has completed every round the segment spans,
-// so the fulfillment delta is exactly the segment's ALG — the same snapshot
-// point closeSegmentLocked uses.
+// sealSegmentLocked tells the optimum worker to seal the open segment and
+// starts the next one. The engine has completed every round the segment
+// spans, so the fulfillment delta is exactly the segment's ALG.
 func (s *Server) sealSegmentLocked() {
 	res := s.st.Result()
-	job := optJob{seal: true, alg: res.Fulfilled - s.algMark}
+	s.optCh <- optJob{seal: true, alg: res.Fulfilled - s.algMark}
 	s.algMark = res.Fulfilled
 	s.closed++
-	s.optCh <- job
+	s.segCount = 0
+	s.segMaxDL = -1
 }
 
 // runToLocked steps empty rounds until the engine's next round is t.
@@ -421,7 +353,6 @@ func (s *Server) Tick() {
 		return
 	}
 	t := s.st.Round()
-	s.mergeStripesLocked(false)
 	for _, r := range s.queue {
 		r.Arrive = t // definitive arrival round is assigned at the tick
 	}
@@ -431,7 +362,6 @@ func (s *Server) Tick() {
 	} else {
 		s.st.Step(nil)
 	}
-	s.round.Store(int64(s.st.Round()))
 }
 
 // Drain stops admitting, runs the engine until no request is pending, closes
@@ -445,9 +375,7 @@ func (s *Server) Drain() Metrics {
 		return m
 	}
 	s.draining = true
-	s.closedIn.Store(true)
 	if !s.cfg.Virtual {
-		s.mergeStripesLocked(true)
 		for _, r := range s.queue {
 			r.Arrive = s.st.Round()
 		}
@@ -457,14 +385,8 @@ func (s *Server) Drain() Metrics {
 	for s.st.Pending() > 0 {
 		s.st.Step(nil)
 	}
-	if s.cfg.RollingBatch {
-		if done := s.cutter.Finish(); done != nil {
-			s.closeSegmentLocked(done)
-		}
-	} else if s.segCount > 0 {
+	if s.segCount > 0 {
 		s.sealSegmentLocked()
-		s.segCount = 0
-		s.segMaxDL = -1
 	}
 	close(s.optCh)
 	s.mu.Unlock()
@@ -485,7 +407,6 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.finished {
 		s.finished = true
-		s.closedIn.Store(true)
 		close(s.optCh)
 		s.mu.Unlock()
 		s.wg.Wait()
@@ -582,7 +503,7 @@ func (s *Server) metricsLocked() Metrics {
 		Fulfilled:  res.Fulfilled,
 		Expired:    res.Expired,
 		Pending:    s.st.Pending(),
-		QueueDepth: len(s.queue) + s.stripedDepth(),
+		QueueDepth: len(s.queue),
 		QueueCap:   s.cfg.QueueCap,
 		Rejected:   s.rej,
 		Resources:  append([]int(nil), res.PerResource...),

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,25 +172,33 @@ func TestVirtualClockBitIdenticalToRun(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 pins the bounded-queue contract: once the arrival
-// queue is full the daemon answers 429 with a Retry-After hint and keeps the
-// already-admitted records.
+// TestBackpressure429 pins the bounded-queue contract under both clocks: once
+// the arrival queue is full the daemon answers 429 with a Retry-After hint
+// and keeps the already-admitted records.
 func TestBackpressure429(t *testing.T) {
-	_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: true, QueueCap: 3})
-	body := strings.Repeat(`{"alts":[0,1]}`+"\n", 5)
-	code, rep, hdr := post(t, ts, body)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", code)
-	}
-	if rep.Accepted != 3 {
-		t.Fatalf("accepted %d, want the queue capacity 3", rep.Accepted)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	m := metrics(t, ts)
-	if m.QueueDepth != 3 || m.Rejected.QueueFull != 1 {
-		t.Fatalf("queue depth %d (want 3), queue_full rejections %d (want 1)", m.QueueDepth, m.Rejected.QueueFull)
+	for _, virtual := range []bool{true, false} {
+		name := "wall_clock"
+		if virtual {
+			name = "virtual"
+		}
+		t.Run(name, func(t *testing.T) {
+			_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: virtual, QueueCap: 3})
+			body := strings.Repeat(`{"alts":[0,1]}`+"\n", 5)
+			code, rep, hdr := post(t, ts, body)
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429", code)
+			}
+			if rep.Accepted != 3 {
+				t.Fatalf("accepted %d, want the queue capacity 3", rep.Accepted)
+			}
+			if hdr.Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After")
+			}
+			m := metrics(t, ts)
+			if m.QueueDepth != 3 || m.Rejected.QueueFull != 1 {
+				t.Fatalf("queue depth %d (want 3), queue_full rejections %d (want 1)", m.QueueDepth, m.Rejected.QueueFull)
+			}
+		})
 	}
 }
 
@@ -276,6 +286,34 @@ func TestMalformedLineOffset(t *testing.T) {
 	}
 }
 
+// TestMalformedLinePastFirstBatch pins that batched admission keeps the
+// record-at-a-time contract across batch boundaries: a malformed line at
+// index 300 lies past the first 256-record batch, yet the reply names exactly
+// the 300 records before it as accepted, gives the line's byte offset, and
+// those records stay admitted.
+func TestMalformedLinePastFirstBatch(t *testing.T) {
+	_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: true, QueueCap: 1 << 10})
+	const good = `{"alts":[0,1]}` + "\n"
+	var sb strings.Builder
+	for i := 0; i < 600; i++ {
+		if i == 300 {
+			sb.WriteString(`{"alts":[0,` + "\n")
+			continue
+		}
+		sb.WriteString(good)
+	}
+	code, rep, _ := post(t, ts, sb.String())
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", code)
+	}
+	if want := int64(300 * len(good)); rep.Accepted != 300 || rep.Offset == nil || *rep.Offset != want {
+		t.Fatalf("accepted %d offset %v, want 300 accepted at offset %d", rep.Accepted, rep.Offset, want)
+	}
+	if m := drain(t, ts); m.Requests != 300 || m.Rejected.Malformed != 1 {
+		t.Fatalf("drained requests %d malformed %d, want 300 and 1", m.Requests, m.Rejected.Malformed)
+	}
+}
+
 // TestVirtualOutOfOrder pins the virtual-clock ordering contract: a record
 // for a round the engine has already closed is rejected, not silently
 // reassigned.
@@ -287,6 +325,25 @@ func TestVirtualOutOfOrder(t *testing.T) {
 	}
 	if rep.Accepted != 1 || !strings.Contains(rep.Error, "closed") {
 		t.Fatalf("accepted %d error %q", rep.Accepted, rep.Error)
+	}
+}
+
+// TestVirtualRoundJumpCap pins the virtual-clock jump bound: a record may
+// arrive at most MaxRoundJump rounds past the engine's next round, so one
+// record cannot make the engine step an unbounded run of empty rounds.
+func TestVirtualRoundJumpCap(t *testing.T) {
+	_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: true})
+	far := fmt.Sprintf(`{"t":%d,"alts":[0,1]}`+"\n", serve.MaxRoundJump+1)
+	code, rep, _ := post(t, ts, `{"alts":[0,1]}`+"\n"+far)
+	if code != http.StatusBadRequest || rep.Accepted != 1 || !strings.Contains(rep.Error, "rounds past") {
+		t.Fatalf("far arrival: status %d accepted %d error %q", code, rep.Accepted, rep.Error)
+	}
+	if m := metrics(t, ts); m.Rejected.Malformed != 1 {
+		t.Fatalf("malformed rejections %d, want 1", m.Rejected.Malformed)
+	}
+	edge := fmt.Sprintf(`{"t":%d,"alts":[0,1]}`+"\n", serve.MaxRoundJump)
+	if code, rep, _ = post(t, ts, edge); code != http.StatusOK || rep.Accepted != 1 {
+		t.Fatalf("arrival at the bound: status %d accepted %d (%s)", code, rep.Accepted, rep.Error)
 	}
 }
 
@@ -414,6 +471,85 @@ func TestConcurrentIngest(t *testing.T) {
 	if m.Fulfilled+m.Expired != m.Requests {
 		t.Fatalf("fulfilled %d + expired %d != requests %d", m.Fulfilled, m.Expired, m.Requests)
 	}
+}
+
+// TestConcurrentWallClockIngestRace hammers the wall-clock arrival queue from
+// 8 goroutines while a spinning ticker advances rounds and a drain cuts in
+// mid-traffic — the race-detector target for admission, the tick and the
+// drain handoff. Accounting must balance exactly: every accepted record is
+// either fulfilled or expired, and none is admitted after the drain.
+func TestConcurrentWallClockIngestRace(t *testing.T) {
+	s, ts := newServer(t, serve.Config{N: 4, D: 4, QueueCap: 1 << 14})
+	const clients = 8
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	tickerDone := make(chan struct{})
+
+	go func() { // ticker, stopped after the clients finish
+		defer close(tickerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Tick()
+			}
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < 30; i++ {
+				resp, err := http.Post(ts.URL+"/v1/requests", "application/jsonl",
+					strings.NewReader(wallBody(rng, 4, 20)))
+				if err != nil {
+					continue // connection cut by test shutdown
+				}
+				var rep ingestReply
+				if b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16)); err == nil && len(b) > 0 {
+					_ = json.Unmarshal(b, &rep)
+				}
+				resp.Body.Close()
+				accepted.Add(int64(rep.Accepted))
+				if i == 15 && c == 0 {
+					s.Drain() // drain mid-traffic from one client
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-tickerDone
+
+	m := drain(t, ts)
+	if int64(m.Requests) != accepted.Load() {
+		t.Fatalf("server admitted %d, clients saw %d accepted", m.Requests, accepted.Load())
+	}
+	if m.Fulfilled+m.Expired != m.Requests || m.Pending != 0 {
+		t.Fatalf("fulfilled %d + expired %d != requests %d (pending %d)",
+			m.Fulfilled, m.Expired, m.Requests, m.Pending)
+	}
+	if m.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after drain", m.QueueDepth)
+	}
+}
+
+// wallBody builds one POST body of unstamped wall-clock records, each naming
+// two distinct resources.
+func wallBody(rng *rand.Rand, n, recs int) string {
+	var sb strings.Builder
+	for i := 0; i < recs; i++ {
+		a := rng.Intn(n)
+		c := rng.Intn(n - 1)
+		if c >= a {
+			c++
+		}
+		fmt.Fprintf(&sb, `{"alts":[%d,%d]}`+"\n", a, c)
+	}
+	return sb.String()
 }
 
 // TestConfigValidation pins New's input checks.

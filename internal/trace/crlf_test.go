@@ -126,3 +126,23 @@ func TestScanJSONLineStripsTerminator(t *testing.T) {
 		t.Fatalf("CRLF-only input: want io.EOF, got %v", err)
 	}
 }
+
+// TestScanJSONLineMaxCap pins the capped scanner at the cap's edge, for lines
+// inside one reader buffer and lines gathered across several: a line of
+// exactly max bytes (terminator included) scans, one byte more is a
+// *LineTooLong naming the line's start, past any blank lines before it.
+func TestScanJSONLineMaxCap(t *testing.T) {
+	for _, max := range []int{8, 10000} {
+		fits := strings.Repeat("x", max-1) + "\n"
+		line, next, err := ScanJSONLineMax(newBufReader(fits), 0, max)
+		if err != nil || len(line) != max-1 || next != int64(max) {
+			t.Fatalf("max %d: line of max bytes: len %d next %d err %v", max, len(line), next, err)
+		}
+		long := "\n \n" + strings.Repeat("x", max) + "\n"
+		_, _, err = ScanJSONLineMax(newBufReader(long), 0, max)
+		var tl *LineTooLong
+		if !errors.As(err, &tl) || tl.Offset != 3 || tl.Max != max {
+			t.Fatalf("max %d: line of max+1 bytes: want LineTooLong at 3, got %v", max, err)
+		}
+	}
+}

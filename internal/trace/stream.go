@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 
 	"reqsched/internal/core"
 )
@@ -161,6 +162,17 @@ func (e *TornTail) Error() string {
 	return fmt.Sprintf("trace: torn final JSONL line at byte offset %d (truncated write)", e.Offset)
 }
 
+// LineTooLong reports a line that ran past a scanner's length cap before its
+// newline. Offset is the byte offset at which the line starts.
+type LineTooLong struct {
+	Offset int64
+	Max    int
+}
+
+func (e *LineTooLong) Error() string {
+	return fmt.Sprintf("trace: line at byte offset %d exceeds %d bytes", e.Offset, e.Max)
+}
+
 // ScanJSONLine reads one newline-terminated line from r, where off is the
 // byte offset of the line's start. It returns the line with its terminator
 // stripped (without diagnosing its JSON), the offset just past its newline,
@@ -176,8 +188,18 @@ func (e *TornTail) Error() string {
 // the next read from r, so callers decode (or copy) it first. Only a line
 // longer than r's buffer is gathered into a fresh slice.
 func ScanJSONLine(r *bufio.Reader, off int64) (line []byte, next int64, err error) {
+	return ScanJSONLineMax(r, off, math.MaxInt)
+}
+
+// ScanJSONLineMax is ScanJSONLine for untrusted input: a line longer than max
+// bytes, terminator included, yields a *LineTooLong after at most max bytes
+// plus r's buffer size have been consumed, instead of being gathered whole.
+func ScanJSONLineMax(r *bufio.Reader, off int64, max int) (line []byte, next int64, err error) {
 	for {
-		line, err = readLine(r)
+		line, err = readLine(r, max)
+		if err == errLineTooLong {
+			return nil, off, &LineTooLong{Offset: off, Max: max}
+		}
 		next = off + int64(len(line))
 		blank := len(bytes.TrimSpace(line)) == 0
 		if err == nil {
@@ -199,20 +221,27 @@ func ScanJSONLine(r *bufio.Reader, off int64) (line []byte, next int64, err erro
 	}
 }
 
+// errLineTooLong is readLine's internal signal that a line passed its cap.
+var errLineTooLong = errors.New("trace: line too long")
+
 // readLine is bufio.Reader.ReadBytes('\n') without the per-line copy: it
 // returns ReadSlice's view of the buffer, and gathers into a fresh slice only
-// when the line overflows the buffer.
-func readLine(r *bufio.Reader) ([]byte, error) {
+// when the line overflows the buffer. Gathering stops, with errLineTooLong,
+// as soon as the line passes max bytes.
+func readLine(r *bufio.Reader, max int) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && len(long) <= max {
+			line, err = r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
 	}
-	long := append([]byte(nil), line...)
-	for err == bufio.ErrBufferFull {
-		line, err = r.ReadSlice('\n')
-		long = append(long, line...)
+	if len(line) > max {
+		return nil, errLineTooLong
 	}
-	return long, err
+	return line, err
 }
 
 // StreamReader decodes a JSONL trace stream record by record, validating each

@@ -146,7 +146,7 @@ func PaperMain(args []string, stdout, stderr io.Writer) int {
 	section("Adaptive adversary, streamed (Theorem 2.6): OPT computed segment by segment")
 	for _, mk := range []func() reqsched.Strategy{reqsched.NewAEager, reqsched.NewEDF} {
 		s := mk()
-		m, nsegs := reqsched.MeasureAdaptiveStream(s, reqsched.AdversaryUniversal(6, maxInt(5, cfg.Phases/2)).Source, w)
+		m, nsegs := reqsched.MeasureAdaptiveStream(s, reqsched.AdversaryUniversal(6, maxInt(5, cfg.Phases/2)).Source)
 		fmt.Fprintf(stdout, "  %-12s ratio %.4f  (%d segments, trace never materialized)\n",
 			s.Name()+":", m.Ratio(), nsegs)
 	}

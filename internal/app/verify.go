@@ -159,7 +159,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	// augmenting-path search per request, sealed at clean segment cuts —
 	// agrees with the monolithic solver on every oblivious Table 1 adversary
 	// trace and a fresh batch of random workloads. This is the solver behind
-	// the serve daemon's rolling ratio and the workers=1 adaptive stream.
+	// the serve daemon's rolling ratio and the streamed adaptive measurement.
 	for _, r := range rows {
 		tr := r.build().Trace
 		if tr == nil {
@@ -243,7 +243,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	// 4c. The streamed adaptive pipeline reproduces the materialized adaptive
 	// measurement on the Theorem 2.6 adversary.
 	wantAd := reqsched.MeasureConstruction(reqsched.AdversaryUniversal(6, 40), reqsched.NewABalance())
-	gotAd, nsegs := reqsched.MeasureAdaptiveStream(reqsched.NewABalance(), reqsched.AdversaryUniversal(6, 40).Source, w)
+	gotAd, nsegs := reqsched.MeasureAdaptiveStream(reqsched.NewABalance(), reqsched.AdversaryUniversal(6, 40).Source)
 	add("adaptive stream OPT", gotAd.OPT == wantAd.OPT && gotAd.ALG == wantAd.ALG,
 		"stream OPT/ALG %d/%d vs post-hoc %d/%d (%d segments)",
 		gotAd.OPT, gotAd.ALG, wantAd.OPT, wantAd.ALG, nsegs)

@@ -1,10 +1,12 @@
 package grid_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +20,16 @@ import (
 // test binary with GRID_TEST_WORKER=1 and it speaks the worker protocol on
 // stdin/stdout instead of running tests — the standard re-exec trick, so the
 // real subprocess machinery (pipes, kills, respawns) is exercised without a
-// separately built binary.
+// separately built binary. With GRID_TEST_STDERR=n it instead writes n
+// lines to stderr and exits.
 func TestMain(m *testing.M) {
+	if v := os.Getenv("GRID_TEST_STDERR"); v != "" {
+		n, _ := strconv.Atoi(v)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(os.Stderr, "worker %d stderr line %d\n", os.Getpid(), i)
+		}
+		os.Exit(0)
+	}
 	if os.Getenv("GRID_TEST_WORKER") == "1" {
 		hb := 50 * time.Millisecond
 		if v := os.Getenv("GRID_TEST_HB"); v != "" {
@@ -102,6 +112,40 @@ func supervisorOpts(t *testing.T, workers int, env ...string) grid.Options {
 		Heartbeat:   2 * time.Second,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
+	}
+}
+
+// TestPipeWorkersShareLog pins that the stderr copiers of several piped
+// workers can share one log writer: exec copies each worker's stderr on a
+// goroutine of its own, so an unserialized bytes.Buffer is a data race that
+// -race reports.
+func TestPipeWorkersShareLog(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lines = 200
+	var buf bytes.Buffer
+	tr := &grid.PipeTransport{
+		Cmd: []string{exe},
+		Env: []string{"GRID_TEST_STDERR=" + strconv.Itoa(lines)},
+		Log: &buf,
+	}
+	var conns []grid.WorkerConn
+	for slot := 0; slot < 2; slot++ {
+		c, err := tr.Dial(context.Background(), slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+	}
+	for _, c := range conns {
+		for range c.Lines() {
+		}
+		c.Close() // reaps the worker; its stderr copier is done afterwards
+	}
+	if got := strings.Count(buf.String(), " stderr line "); got != 2*lines {
+		t.Fatalf("log holds %d worker lines, want %d:\n%s", got, 2*lines, buf.String())
 	}
 }
 

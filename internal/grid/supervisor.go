@@ -106,9 +106,7 @@ func (o *Options) withDefaults() Options {
 	if out.BackoffMax <= 0 {
 		out.BackoffMax = 5 * time.Second
 	}
-	if out.Log == nil {
-		out.Log = io.Discard
-	}
+	out.Log = lockedLog(out.Log)
 	return out
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"sync"
 )
 
 // procLine is one parsed worker protocol line, or the error that ended the
@@ -75,8 +76,12 @@ type PipeTransport struct {
 	Cmd []string
 	// Env is appended to the inherited environment of each worker.
 	Env []string
-	// Log receives worker stderr (nil: discard).
+	// Log receives worker stderr (nil: discard). Every worker's stderr
+	// copier writes it, so Dial serializes the writes (see lockedLog).
 	Log io.Writer
+
+	logOnce sync.Once
+	log     io.Writer
 }
 
 func (t *PipeTransport) Slots() int { return 0 }
@@ -85,10 +90,7 @@ func (t *PipeTransport) Dial(ctx context.Context, slot int) (WorkerConn, error) 
 	if len(t.Cmd) == 0 {
 		return nil, errors.New("grid: no worker command configured")
 	}
-	log := t.Log
-	if log == nil {
-		log = io.Discard
-	}
+	t.logOnce.Do(func() { t.log = lockedLog(t.Log) })
 	cmd := exec.Command(t.Cmd[0], t.Cmd[1:]...)
 	cmd.Env = append(os.Environ(), t.Env...)
 	stdin, err := cmd.StdinPipe()
@@ -99,7 +101,7 @@ func (t *PipeTransport) Dial(ctx context.Context, slot int) (WorkerConn, error) 
 	if err != nil {
 		return nil, err
 	}
-	cmd.Stderr = log
+	cmd.Stderr = t.log
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("grid: spawn worker: %w", err)
 	}
@@ -123,6 +125,34 @@ func (t *PipeTransport) Dial(ctx context.Context, slot int) (WorkerConn, error) 
 		}
 	}()
 	return p, nil
+}
+
+// syncWriter serializes writes to a writer several goroutines share.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
+// lockedLog returns w made safe for concurrent writers. exec copies a
+// non-file Stderr on a goroutine of its own per process, so one log handed to
+// several workers — and to the supervisor's own diagnostics — is written
+// concurrently. nil becomes io.Discard; a writer lockedLog already wrapped
+// is returned as it is, so the supervisor and its pipe transport share one
+// lock.
+func lockedLog(w io.Writer) io.Writer {
+	switch w.(type) {
+	case nil:
+		return io.Discard
+	case *syncWriter:
+		return w
+	}
+	return &syncWriter{w: w}
 }
 
 // proc is one live worker subprocess.

@@ -108,30 +108,27 @@ func (o *IncrementalOpt) Seal() int {
 // OptimumIncremental returns exactly Optimum(tr), computed by feeding the
 // trace's requests in arrival order through an IncrementalOpt — the
 // single-pass O(request × path) shape the serve rolling-ratio worker uses,
-// exposed whole-trace for verification and benchmarks. Segment seals are
-// unnecessary for the value: maximum matching decomposes over independent
-// pieces whether or not the matcher is rewound between them.
+// exposed whole-trace for verification and benchmarks. The matcher is sealed
+// at core.Segmenter's clean cuts, so right-vertex rows restart at the new
+// base and memory stays proportional to the widest open window, not the
+// horizon; maximum matching decomposes over the independent pieces, so the
+// seals do not change the value.
 func OptimumIncremental(tr *core.Trace) int {
 	o := NewIncrementalOptModel(tr.N, tr.Model)
+	cut := core.NewSegmenter(tr.Model)
 	opt := 0
-	maxDL := -1
 	for t := range tr.Arrivals {
 		rs := tr.Arrivals[t]
 		if len(rs) == 0 {
 			continue
 		}
-		// Seal at clean cuts so right-vertex rows restart at the new base and
-		// memory stays proportional to the widest open window, not the horizon.
-		// Cuts must be epoch-aligned so no epoch slot spans the seal.
-		if o.Count() > 0 && t > maxDL && t%o.hold == 0 {
+		if _, ok := cut.Cut(t); ok {
 			opt += o.Seal()
 		}
 		for i := range rs {
 			r := &rs[i]
 			o.AddRequest(r)
-			if dl := r.Deadline(); dl > maxDL {
-				maxDL = dl
-			}
+			cut.Add(r.Deadline())
 		}
 	}
 	return opt + o.Seal()

@@ -99,12 +99,6 @@ func OptimumSchedule(tr *core.Trace) []core.Fulfillment {
 	return log
 }
 
-// OptimumByFlow recomputes the optimum with Dinic max-flow — an independent
-// implementation used to cross-check Optimum in tests.
-func OptimumByFlow(tr *core.Trace) int {
-	return matching.MaxMatchingByFlow(BuildGraph(tr))
-}
-
 // OptimumMinLatency returns an optimal offline schedule that, among all
 // maximum-cardinality schedules, minimizes the total service latency (sum of
 // service round minus arrival round), computed by min-cost max-flow charging

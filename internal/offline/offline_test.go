@@ -81,12 +81,18 @@ func TestOptimumBlockSaturates(t *testing.T) {
 	}
 }
 
+// optimumByFlow recomputes the optimum with Dinic max-flow — an independent
+// implementation that cross-checks Optimum.
+func optimumByFlow(tr *core.Trace) int {
+	return matching.MaxMatchingByFlow(BuildGraph(tr))
+}
+
 func TestOptimumEqualsFlowCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for trial := 0; trial < 40; trial++ {
 		tr := randomTrace(rng, 2+rng.Intn(5), 1+rng.Intn(4), 1+rng.Intn(8), 6)
 		hk := Optimum(tr)
-		fl := OptimumByFlow(tr)
+		fl := optimumByFlow(tr)
 		if hk != fl {
 			t.Fatalf("trial %d: HK %d != flow %d", trial, hk, fl)
 		}

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"reqsched/internal/core"
 	"reqsched/internal/matching"
@@ -30,26 +29,23 @@ type Segment struct {
 	Reqs []*core.Request
 }
 
-// SegmentTrace cuts tr at every round boundary no request's deadline window
-// crosses: a boundary before round t is clean when every request that arrived
-// earlier has a deadline before t. Under hold > 1 a cut must additionally be
-// epoch-aligned (t a multiple of Hold) so no epoch slot is shared across the
-// cut. Arrivals are stored in round order, so one pass tracking the running
-// maximum deadline finds all clean cuts in O(requests + horizon). Traces with
-// permanently overlapping windows yield a single segment; callers that still
-// want to decompose them use Components.
+// SegmentTrace cuts tr at every clean cut of core.Segmenter: a round
+// boundary no request's deadline window crosses, epoch-aligned under hold >
+// 1. Arrivals are stored in round order, so one pass finds all clean cuts in
+// O(requests + horizon). Traces with permanently overlapping windows yield a
+// single segment; Segments then falls back to Components.
 func SegmentTrace(tr *core.Trace) []Segment {
-	hold := tr.Model.Norm().Hold
+	cut := core.NewSegmenter(tr.Model)
 	var segs []Segment
 	var cur []*core.Request
-	lo, maxDL := 0, -1
+	lo := 0
 	for t := range tr.Arrivals {
 		rs := tr.Arrivals[t]
 		if len(rs) == 0 {
 			continue
 		}
-		if len(cur) > 0 && t > maxDL && t%hold == 0 {
-			segs = append(segs, Segment{Lo: lo, Hi: maxDL, Reqs: cur})
+		if hi, ok := cut.Cut(t); ok {
+			segs = append(segs, Segment{Lo: lo, Hi: hi, Reqs: cur})
 			cur = nil
 		}
 		if len(cur) == 0 {
@@ -58,13 +54,11 @@ func SegmentTrace(tr *core.Trace) []Segment {
 		for i := range rs {
 			r := &rs[i]
 			cur = append(cur, r)
-			if dl := r.Deadline(); dl > maxDL {
-				maxDL = dl
-			}
+			cut.Add(r.Deadline())
 		}
 	}
-	if len(cur) > 0 {
-		segs = append(segs, Segment{Lo: lo, Hi: maxDL, Reqs: cur})
+	if hi, ok := cut.Close(); ok {
+		segs = append(segs, Segment{Lo: lo, Hi: hi, Reqs: cur})
 	}
 	return segs
 }
@@ -315,9 +309,10 @@ func (ss *segSolver) minLatency(sp space, seg Segment, log []core.Fulfillment) (
 	return log, latency
 }
 
-// segments decomposes tr into independent pieces: clean time cuts, falling
-// back to union-find connected components when no cut exists.
-func segments(tr *core.Trace) []Segment {
+// Segments decomposes tr into the independent pieces the segmented solvers
+// work on: clean time cuts, falling back to union-find connected components
+// when no cut exists.
+func Segments(tr *core.Trace) []Segment {
 	segs := SegmentTrace(tr)
 	if len(segs) <= 1 {
 		segs = Components(tr)
@@ -325,206 +320,150 @@ func segments(tr *core.Trace) []Segment {
 	return segs
 }
 
+// solvePool is the one worker pool of the segmented solvers. It folds solve
+// over every (space, Segment) piece the iterator yields, on workers
+// goroutines (workers <= 0: GOMAXPROCS), and returns each worker's
+// accumulator for the caller to combine. Each worker owns its segSolver
+// scratch, so steady-state allocation is per worker, not per piece. Pieces
+// are handed over unbuffered: at most workers+1 are in memory at once, one
+// per worker plus the one the iterator holds, which is what bounds the memory
+// of a streamed solve. Which worker solves which piece depends on scheduling,
+// so callers combine accumulators with order-independent folds (int64 sums,
+// logs sorted by request ID) to stay deterministic.
+func solvePool[A any](pieces iter.Seq2[space, Segment], workers int, solve func(ss *segSolver, sp space, seg Segment, acc A) A) []A {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	accs := make([]A, workers)
+	if workers == 1 {
+		ss := newSegSolver()
+		for sp, seg := range pieces {
+			accs[0] = solve(ss, sp, seg, accs[0])
+		}
+		return accs
+	}
+	type piece struct {
+		sp  space
+		seg Segment
+	}
+	ch := make(chan piece)
+	var wg sync.WaitGroup
+	for w := range accs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ss := newSegSolver()
+			for p := range ch {
+				accs[w] = solve(ss, p.sp, p.seg, accs[w])
+			}
+		}()
+	}
+	for sp, seg := range pieces {
+		ch <- piece{sp, seg}
+	}
+	close(ch)
+	wg.Wait()
+	return accs
+}
+
+// sumPool sums a per-piece int64 objective over the pool.
+func sumPool(pieces iter.Seq2[space, Segment], workers int, solve func(*segSolver, space, Segment) int64) int64 {
+	accs := solvePool(pieces, workers, func(ss *segSolver, sp space, seg Segment, acc int64) int64 {
+		return acc + solve(ss, sp, seg)
+	})
+	total := int64(0)
+	for _, a := range accs {
+		total += a
+	}
+	return total
+}
+
+// segmentPieces yields segs, pieces of tr, each in tr's slot geometry, and
+// returns the pool size to solve them with: workers (<= 0: GOMAXPROCS), but
+// never more goroutines than pieces.
+func segmentPieces(tr *core.Trace, segs []Segment, workers int) (iter.Seq2[space, Segment], int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(segs)))
+	sp := spaceOf(tr)
+	return func(yield func(space, Segment) bool) {
+		for _, seg := range segs {
+			if !yield(sp, seg) {
+				return
+			}
+		}
+	}, workers
+}
+
 // OptimumParallel returns exactly Optimum(tr), computed by decomposing the
-// trace into independent segments (clean time cuts, falling back to
-// union-find connected components when no cut exists) and solving each with
-// Hopcroft–Karp on a worker pool. Each worker owns its segSolver scratch, so
-// steady-state allocation is per worker, not per segment, and peak memory is
-// proportional to the largest segment rather than the horizon. workers <= 0
-// means GOMAXPROCS.
+// trace into independent segments (Segments) and solving each with
+// Hopcroft–Karp on the worker pool. Peak memory is proportional to the
+// largest segment rather than the horizon. workers <= 0 means GOMAXPROCS.
 func OptimumParallel(tr *core.Trace, workers int) int {
-	return int(sumSegments(spaceOf(tr), segments(tr), workers, (*segSolver).cardinality))
+	pieces, workers := segmentPieces(tr, Segments(tr), workers)
+	return int(sumPool(pieces, workers, (*segSolver).cardinality))
 }
 
 // MaxProfitParallel returns exactly MaxProfit(tr) — the weighted offline
-// optimum — by solving independent segments on a worker pool. Matchings of
+// optimum — by solving independent segments on the worker pool. Matchings of
 // any objective decompose exactly over connected components (no augmenting or
 // profit-improving path crosses between them), so the per-segment int64
 // profit folds sum to the monolithic value.
 func MaxProfitParallel(tr *core.Trace, workers int) int {
-	return int(sumSegments(spaceOf(tr), segments(tr), workers, (*segSolver).maxProfit))
+	pieces, workers := segmentPieces(tr, Segments(tr), workers)
+	return int(sumPool(pieces, workers, (*segSolver).maxProfit))
 }
 
 // OptimumMinLatencyParallel returns a schedule with OptimumMinLatency's exact
 // guarantees — maximum cardinality, minimum total latency — computed per
-// segment on a worker pool. Per-segment fulfillment logs (already in absolute
-// rounds) are stitched back in request-ID order; the latency total equals the
-// monolithic solver's exactly, though the two may pick different equally
-// cheap schedules.
+// segment on the worker pool. Per-segment fulfillment logs (already in
+// absolute rounds) are stitched back in request-ID order; the latency total
+// equals the monolithic solver's exactly, though the two may pick different
+// equally cheap schedules.
 func OptimumMinLatencyParallel(tr *core.Trace, workers int) ([]core.Fulfillment, int) {
-	segs := segments(tr)
-	type piece struct {
+	type acc struct {
 		log     []core.Fulfillment
 		latency int64
 	}
-	pieces := mapSegments(spaceOf(tr), segs, workers, func(ss *segSolver, sp space, seg Segment) piece {
-		log, latency := ss.minLatency(sp, seg, nil)
-		return piece{log, latency}
+	pieces, workers := segmentPieces(tr, Segments(tr), workers)
+	accs := solvePool(pieces, workers, func(ss *segSolver, sp space, seg Segment, a acc) acc {
+		log, latency := ss.minLatency(sp, seg, a.log)
+		return acc{log, a.latency + latency}
 	})
 	var log []core.Fulfillment
 	latency := int64(0)
-	for _, p := range pieces {
-		log = append(log, p.log...)
-		latency += p.latency
+	for _, a := range accs {
+		log = append(log, a.log...)
+		latency += a.latency
 	}
 	sort.Slice(log, func(i, j int) bool { return log[i].Req.ID < log[j].Req.ID })
 	return log, int(latency)
 }
 
-// sumSegments folds a per-segment int64 objective over a worker pool. The sum
-// is order-independent, so the result is deterministic regardless of
-// scheduling.
-func sumSegments(sp space, segs []Segment, workers int, solve func(*segSolver, space, Segment) int64) int64 {
-	if len(segs) == 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	if workers <= 1 {
-		ss := newSegSolver()
-		total := int64(0)
-		for _, seg := range segs {
-			total += solve(ss, sp, seg)
-		}
-		return total
-	}
-	var (
-		total atomic.Int64
-		next  atomic.Int64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			sum := int64(0)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(segs) {
-					break
-				}
-				sum += solve(ss, sp, segs[i])
-			}
-			total.Add(sum)
-		}()
-	}
-	wg.Wait()
-	return total.Load()
-}
-
-// mapSegments runs solve over every segment on a worker pool with per-worker
-// scratch, storing results by segment index — the shape objectives with
-// structured per-segment results (min-latency logs) need. Workers claim
-// segments through an atomic cursor; results land at their segment's index,
-// so the output is deterministic regardless of scheduling.
-func mapSegments[T any](sp space, segs []Segment, workers int, solve func(ss *segSolver, sp space, seg Segment) T) []T {
-	out := make([]T, len(segs))
-	if len(segs) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	if workers <= 1 {
-		ss := newSegSolver()
-		for i, seg := range segs {
-			out[i] = solve(ss, sp, seg)
-		}
-		return out
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(segs) {
-					break
-				}
-				out[i] = solve(ss, sp, segs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// wholeTraceSegment wraps an independent sub-trace as one Segment.
-func wholeTraceSegment(tr *core.Trace) Segment {
-	return Segment{Lo: 0, Hi: tr.Horizon() - 1, Reqs: tr.Requests()}
-}
-
-// streamSegments folds a per-segment int64 objective over a stream of
-// independent sub-traces on a worker pool, holding at most workers+1 segments
-// in memory at once. The first error from the iterator stops consumption and
-// is returned after in-flight segments finish.
-func streamSegments(segments iter.Seq2[*core.Trace, error], workers int, solve func(*segSolver, space, Segment) int64) (total int64, nsegs int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ch := make(chan *core.Trace)
-	var (
-		sum atomic.Int64
-		wg  sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			acc := int64(0)
-			for tr := range ch {
-				acc += solve(ss, spaceOf(tr), wholeTraceSegment(tr))
-			}
-			sum.Add(acc)
-		}()
-	}
-	for tr, serr := range segments {
-		if serr != nil {
-			err = serr
-			break
-		}
-		ch <- tr
-		nsegs++
-	}
-	close(ch)
-	wg.Wait()
-	if err != nil {
-		return 0, nsegs, err
-	}
-	return sum.Load(), nsegs, nil
-}
-
 // OptimumStream sums the offline optimum over a stream of independent
 // sub-traces (one per yielded value, e.g. trace.Segments over a JSONL
-// stream) on a worker pool, holding at most workers+1 segments in memory at
+// stream) on the worker pool, holding at most workers+1 segments in memory at
 // once — the bounded-memory evaluation path for traces too large to
 // materialize. It returns the total optimum and the number of segments
 // consumed. The first error from the iterator stops consumption and is
 // returned after in-flight segments finish.
 func OptimumStream(segments iter.Seq2[*core.Trace, error], workers int) (opt, nsegs int, err error) {
-	total, nsegs, err := streamSegments(segments, workers, (*segSolver).cardinality)
-	return int(total), nsegs, err
-}
-
-// MaxProfitStream sums the weighted offline optimum (maximum total weight
-// served) over a stream of independent sub-traces on a worker pool — the
-// bounded-memory sibling of MaxProfitParallel. It returns the total profit
-// and the number of segments consumed.
-func MaxProfitStream(segments iter.Seq2[*core.Trace, error], workers int) (profit, nsegs int, err error) {
-	total, nsegs, err := streamSegments(segments, workers, (*segSolver).maxProfit)
-	return int(total), nsegs, err
+	pieces := func(yield func(space, Segment) bool) {
+		for tr, serr := range segments {
+			if serr != nil {
+				err = serr
+				return
+			}
+			nsegs++
+			if !yield(spaceOf(tr), Segment{Lo: 0, Hi: tr.Horizon() - 1, Reqs: tr.Requests()}) {
+				return
+			}
+		}
+	}
+	total := sumPool(pieces, workers, (*segSolver).cardinality)
+	if err != nil {
+		return 0, nsegs, err
+	}
+	return int(total), nsegs, nil
 }

@@ -190,6 +190,13 @@ func TestOptimumParallelEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// sumOver sums the per-segment optima of segs, pieces of tr, on the
+// worker pool.
+func sumOver(tr *core.Trace, segs []Segment, workers int) int {
+	pieces, workers := segmentPieces(tr, segs, workers)
+	return int(sumPool(pieces, workers, (*segSolver).cardinality))
+}
+
 func TestComponentsMatchSegmentsOnGappedTraces(t *testing.T) {
 	// On a trace with clean time cuts, the components decomposition is at
 	// least as fine — both must sum to the same optimum.
@@ -197,10 +204,10 @@ func TestComponentsMatchSegmentsOnGappedTraces(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		tr := gappedTrace(rng, 3, 2, 3, 4)
 		want := Optimum(tr)
-		if got := int(sumSegments(spaceOf(tr), Components(tr), 3, (*segSolver).cardinality)); got != want {
+		if got := sumOver(tr, Components(tr), 3); got != want {
 			t.Fatalf("trial %d: components sum %d, Optimum %d", trial, got, want)
 		}
-		if got := int(sumSegments(spaceOf(tr), SegmentTrace(tr), 3, (*segSolver).cardinality)); got != want {
+		if got := sumOver(tr, SegmentTrace(tr), 3); got != want {
 			t.Fatalf("trial %d: segments sum %d, Optimum %d", trial, got, want)
 		}
 	}

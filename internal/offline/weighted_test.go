@@ -1,14 +1,12 @@
 package offline
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"reqsched/internal/adversary"
 	"reqsched/internal/core"
 	"reqsched/internal/strategies"
-	"reqsched/internal/trace"
 	"reqsched/internal/workload"
 )
 
@@ -120,29 +118,6 @@ func TestWeightedParallelEqualsMonolithicRandom(t *testing.T) {
 	}
 	if trials < 1000 {
 		t.Fatalf("only %d trials, want >= 1000", trials)
-	}
-}
-
-func TestMaxProfitStreamEqualsMonolithic(t *testing.T) {
-	// Round-trip weighted traces through the JSONL stream segmenter and sum
-	// the per-segment profits on the pool — must equal the whole-trace solver.
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 50; trial++ {
-		tr := workload.WithWeights(
-			gappedTrace(rng, 2+rng.Intn(4), 1+rng.Intn(3), 2+rng.Intn(4), 5),
-			1+rng.Intn(9), rng.Int63())
-		var buf bytes.Buffer
-		if err := trace.WriteStream(&buf, tr); err != nil {
-			t.Fatalf("trial %d: write stream: %v", trial, err)
-		}
-		profit, nsegs, err := MaxProfitStream(trace.Segments(&buf), 3)
-		if err != nil {
-			t.Fatalf("trial %d: stream: %v", trial, err)
-		}
-		if want := MaxProfit(tr); profit != want {
-			t.Fatalf("trial %d: MaxProfitStream = %d (%d segments), MaxProfit = %d",
-				trial, profit, nsegs, want)
-		}
 	}
 }
 

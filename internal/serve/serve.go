@@ -79,9 +79,8 @@ type Server struct {
 	queue    []*core.Request // admitted arrivals waiting for their round
 	batchT   int             // virtual clock: round the queue belongs to
 	nextID   int
-	segCount int // requests in the open segment
-	segMaxDL int // max deadline of the open segment
-	algMark  int // Fulfilled at the last segment cut
+	seg      core.Segmenter // the open segment's clean-cut bookkeeping
+	algMark  int            // Fulfilled at the last segment cut
 	rej      rejectCounts
 	draining bool
 	finished bool
@@ -156,11 +155,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.StrategyName = cfg.Strategy.Name()
 	}
 	s := &Server{
-		cfg:      cfg,
-		hist:     stats.NewHistogram(cfg.MaxD),
-		segMaxDL: -1,
-		optCh:    make(chan optJob, 256),
-		stop:     make(chan struct{}),
+		cfg:   cfg,
+		hist:  stats.NewHistogram(cfg.MaxD),
+		seg:   core.NewSegmenter(cfg.Model),
+		optCh: make(chan optJob, 256),
+		stop:  make(chan struct{}),
 	}
 	s.st = core.NewStepperModel(cfg.Strategy, cfg.N, cfg.D, cfg.MaxD, cfg.Model)
 	s.st.KeepLog = cfg.KeepLog
@@ -301,40 +300,32 @@ func (s *Server) flushLocked() {
 		return
 	}
 	t := s.batchT
-	if s.segCount > 0 && t > s.segMaxDL && t%s.cfg.Model.Hold == 0 {
+	if hi, ok := s.seg.Cut(t); ok {
 		// Clean cut: every request of the closing segment has deadline
-		// <= segMaxDL < t, so running the engine through segMaxDL makes all
-		// of the segment's services and expiries final before the snapshot.
-		// Under hold > 1 the cut must also fall on an epoch boundary — the
-		// same rule as offline.SegmentTrace — so the epoch-relaxed segment
-		// optima sum to the whole stream's.
-		s.runToLocked(s.segMaxDL + 1)
+		// <= hi < t, so running the engine through hi makes all of the
+		// segment's services and expiries final before the snapshot.
+		s.runToLocked(hi + 1)
 		s.sealSegmentLocked()
 	}
 	b := batchPool.Get().(*reqBatch)
 	b.recs = append(b.recs[:0], s.queue...)
 	s.optCh <- optJob{batch: b}
 	for _, r := range s.queue {
-		s.segCount++
-		if dl := r.Deadline(); dl > s.segMaxDL {
-			s.segMaxDL = dl
-		}
+		s.seg.Add(r.Deadline())
 	}
 	s.runToLocked(t)
 	s.st.Step(s.queue)
 	s.queue = s.queue[:0]
 }
 
-// sealSegmentLocked tells the optimum worker to seal the open segment and
-// starts the next one. The engine has completed every round the segment
+// sealSegmentLocked tells the optimum worker to seal the segment just closed
+// and starts the next one. The engine has completed every round the segment
 // spans, so the fulfillment delta is exactly the segment's ALG.
 func (s *Server) sealSegmentLocked() {
 	res := s.st.Result()
 	s.optCh <- optJob{seal: true, alg: res.Fulfilled - s.algMark}
 	s.algMark = res.Fulfilled
 	s.closed++
-	s.segCount = 0
-	s.segMaxDL = -1
 }
 
 // runToLocked steps empty rounds until the engine's next round is t.
@@ -385,7 +376,7 @@ func (s *Server) Drain() Metrics {
 	for s.st.Pending() > 0 {
 		s.st.Step(nil)
 	}
-	if s.segCount > 0 {
+	if _, ok := s.seg.Close(); ok {
 		s.sealSegmentLocked()
 	}
 	close(s.optCh)

@@ -570,38 +570,30 @@ func ReadStream(r io.Reader) (*core.Trace, error) {
 }
 
 // SegmentCutter accumulates requests fed in nondecreasing arrival-round
-// order and cuts them into independent time segments: a cut falls before
-// every request whose arrival round is past the deadline of every request
-// seen so far (the same clean-cut rule as offline.SegmentTrace). Each
+// order and cuts them into independent time segments at core.Segmenter's
+// clean cuts: before every request whose arrival round is past the deadline
+// of every request of the open segment, epoch-aligned under hold > 1. Each
 // finished segment is a self-contained sub-trace with rounds shifted to
 // start at 0 and its own request IDs from 0; segment optima therefore sum to
 // the whole input's optimum. It is the push-style core under Segments and
-// SegmentsOf, and the piece the adaptive streaming pipeline feeds directly
-// from the engine's observe callback.
+// SegmentsOfModel.
 type SegmentCutter struct {
-	n, d  int
-	m     core.ServiceModel
-	b     *core.Builder
-	count int
-	lo    int
-	maxDL int
+	n, d int
+	m    core.ServiceModel
+	b    *core.Builder
+	cut  core.Segmenter
+	lo   int
 }
 
-// NewSegmentCutter returns a cutter for requests over n resources with
-// default deadline window d, under the unit service model.
-func NewSegmentCutter(n, d int) *SegmentCutter {
-	return NewSegmentCutterModel(n, d, core.UnitModel())
-}
-
-// NewSegmentCutterModel is NewSegmentCutter under service model m. With hold
-// > 1 a cut must additionally fall on an epoch boundary (a round that is a
-// multiple of hold — the rule offline.SegmentTrace uses), so a service
-// started in one segment cannot still occupy its resource in the next, and
-// segment origins are shifted only by whole epochs so each segment's
-// epoch-relaxed optimum is unchanged by the shift.
+// NewSegmentCutterModel returns a cutter for requests over n resources with
+// default deadline window d under service model m. With hold > 1 cuts fall
+// only on epoch boundaries, so a service started in one segment cannot still
+// occupy its resource in the next, and segment origins are shifted only by
+// whole epochs so each segment's epoch-relaxed optimum is unchanged by the
+// shift.
 func NewSegmentCutterModel(n, d int, m core.ServiceModel) *SegmentCutter {
 	m = m.Norm()
-	return &SegmentCutter{n: n, d: d, m: m, b: newSegBuilder(n, d, m), maxDL: -1}
+	return &SegmentCutter{n: n, d: d, m: m, b: newSegBuilder(n, d, m), cut: core.NewSegmenter(m)}
 }
 
 func newSegBuilder(n, d int, m core.ServiceModel) *core.Builder {
@@ -612,16 +604,15 @@ func newSegBuilder(n, d int, m core.ServiceModel) *core.Builder {
 	return b
 }
 
-// Add appends one request. If the request opens a new segment — its arrival
-// round is past every earlier deadline, and at an epoch boundary when hold >
-// 1 — the finished segment is returned; otherwise Add returns nil. Arrival
-// rounds must be nondecreasing.
+// Add appends one request. If the request opens a new segment, the finished
+// segment is returned; otherwise Add returns nil. Arrival rounds must be
+// nondecreasing.
 func (sc *SegmentCutter) Add(rec StreamRecord) *core.Trace {
 	var done *core.Trace
-	if sc.count > 0 && rec.T > sc.maxDL && rec.T%sc.m.Hold == 0 {
+	if _, ok := sc.cut.Cut(rec.T); ok {
 		done = sc.flush()
 	}
-	if sc.count == 0 {
+	if sc.cut.Count() == 0 {
 		// Epoch-floor the origin: shifting by a non-multiple of hold would
 		// move requests across epoch boundaries and change the segment's
 		// epoch-relaxed optimum. At hold = 1 this is exactly rec.T.
@@ -631,17 +622,14 @@ func (sc *SegmentCutter) Add(rec StreamRecord) *core.Trace {
 	if rec.W > 1 {
 		sc.b.SetWeight(id, rec.W)
 	}
-	sc.count++
-	if dl := rec.Deadline(); dl > sc.maxDL {
-		sc.maxDL = dl
-	}
+	sc.cut.Add(rec.Deadline())
 	return done
 }
 
 // Finish returns the trailing open segment, or nil if no requests are
 // buffered. The cutter is reusable afterwards.
 func (sc *SegmentCutter) Finish() *core.Trace {
-	if sc.count == 0 {
+	if _, ok := sc.cut.Close(); !ok {
 		return nil
 	}
 	return sc.flush()
@@ -650,20 +638,14 @@ func (sc *SegmentCutter) Finish() *core.Trace {
 func (sc *SegmentCutter) flush() *core.Trace {
 	tr := sc.b.Build()
 	sc.b = newSegBuilder(sc.n, sc.d, sc.m)
-	sc.count = 0
 	return tr
 }
 
-// SegmentsOf cuts any source of stream records — already validated, in
-// nondecreasing arrival order — into independent time segments, holding at
-// most one open segment. A record error is yielded once as (nil, err) and
-// ends the iteration.
-func SegmentsOf(n, d int, recs iter.Seq2[StreamRecord, error]) iter.Seq2[*core.Trace, error] {
-	return SegmentsOfModel(n, d, core.UnitModel(), recs)
-}
-
-// SegmentsOfModel is SegmentsOf under service model m: segments carry the
-// model and cuts respect its epoch boundaries.
+// SegmentsOfModel cuts any source of stream records — already validated, in
+// nondecreasing arrival order — into independent time segments under service
+// model m, holding at most one open segment. Segments carry the model and
+// cuts respect its epoch boundaries. A record error is yielded once as (nil,
+// err) and ends the iteration.
 func SegmentsOfModel(n, d int, m core.ServiceModel, recs iter.Seq2[StreamRecord, error]) iter.Seq2[*core.Trace, error] {
 	return func(yield func(*core.Trace, error) bool) {
 		sc := NewSegmentCutterModel(n, d, m)

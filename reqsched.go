@@ -122,13 +122,7 @@ func OptimumParallel(tr *Trace, workers int) int { return offline.OptimumParalle
 // TraceSegmentCount returns how many independent pieces OptimumParallel
 // decomposes tr into (time segments, or slot-graph components when the trace
 // has no clean time cut).
-func TraceSegmentCount(tr *Trace) int {
-	segs := offline.SegmentTrace(tr)
-	if len(segs) <= 1 {
-		segs = offline.Components(tr)
-	}
-	return len(segs)
-}
+func TraceSegmentCount(tr *Trace) int { return len(offline.Segments(tr)) }
 
 // OptimumIncremental returns exactly Optimum(tr), computed by maintaining one
 // matching over the growing request/slot graph — a single augmenting-path
@@ -172,14 +166,6 @@ func MaxProfitParallel(tr *Trace, workers int) int {
 	return offline.MaxProfitParallel(tr, workers)
 }
 
-// MaxProfitStream sums the weighted offline optimum over a stream of
-// independent sub-traces on a worker pool — the bounded-memory sibling of
-// MaxProfitParallel. It returns the total profit and the number of segments
-// consumed.
-func MaxProfitStream(segments iter.Seq2[*Trace, error], workers int) (profit, nsegs int, err error) {
-	return offline.MaxProfitStream(segments, workers)
-}
-
 // EarliestDeadlineSchedule serves tr greedily by earliest deadline on every
 // resource and returns the number of requests fulfilled — optimal for
 // single-choice traces (Observation 3.1).
@@ -191,12 +177,12 @@ func EarliestDeadlineSchedule(tr *Trace) int { return offline.EarliestDeadlineSc
 type AdaptiveSource = core.AdaptiveSource
 
 // MeasureAdaptiveStream runs s against an adaptive source and computes its
-// competitive ratio incrementally: generated rounds stream through a
-// clean-cut segmenter into the segmented offline solver while the run is in
-// progress, so the full trace is never materialized. Returns the measurement
-// and the number of segments the run decomposed into.
-func MeasureAdaptiveStream(s Strategy, src AdaptiveSource, workers int) (Measurement, int) {
-	return ratio.RunAdaptiveStream(s, src, workers)
+// competitive ratio incrementally: generated requests feed one incrementally
+// maintained offline matching, sealed at every clean segment cut, while the
+// run is in progress, so the full trace is never materialized. Returns the
+// measurement and the number of segments the run decomposed into.
+func MeasureAdaptiveStream(s Strategy, src AdaptiveSource) (Measurement, int) {
+	return ratio.RunAdaptiveStream(s, src)
 }
 
 // Global strategies (Table 1 rows).

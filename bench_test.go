@@ -240,61 +240,47 @@ func BenchmarkEngineAllocs(b *testing.B) {
 	})
 }
 
-// BenchmarkOptimumParallel measures the segmented offline solver against the
-// monolithic one on a gapped (multi-segment) workload — the BENCH_engine.json
-// offline section is regenerated from cmd/bench, which mirrors this setup at
-// the million-request scale.
-func BenchmarkOptimumParallel(b *testing.B) {
-	tr := reqsched.Bursty(reqsched.WorkloadConfig{
-		N: 16, D: 4, Rounds: 2000, Rate: 0, Seed: 5,
-	}, 4, 8, 20)
-	want := reqsched.Optimum(tr)
-	b.Run("monolithic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reqsched.Optimum(tr)
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("segmented/workers=%d", workers), func(b *testing.B) {
-			var got int
-			for i := 0; i < b.N; i++ {
-				got = reqsched.OptimumParallel(tr, workers)
-			}
-			if got != want {
-				b.Fatalf("OptimumParallel = %d, Optimum = %d", got, want)
-			}
-			b.ReportMetric(float64(reqsched.TraceSegmentCount(tr)), "segments")
-		})
+// BenchmarkSolve measures the segmented offline optimum of each objective
+// against its monolithic oracle on a gapped bursty workload (bursts of 4
+// rounds at rate 20, then 8 silent rounds: every burst is its own segment),
+// at 1, 2, 4 and 8 workers. The weighted objectives run on a smaller
+// weighted trace: their monolithic min-cost-flow solvers are superlinear.
+func BenchmarkSolve(b *testing.B) {
+	gapped := func(rounds int) *reqsched.Trace {
+		return reqsched.Bursty(reqsched.WorkloadConfig{N: 16, D: 4, Rounds: rounds, Rate: 0, Seed: 5}, 4, 8, 20)
 	}
-}
-
-// BenchmarkMaxProfitParallel measures the segmented weighted solver against
-// the monolithic min-cost-flow one on a gapped weighted workload — the
-// BENCH_engine.json weighted section is regenerated from cmd/bench, which
-// mirrors this setup at the 10^5-request scale.
-func BenchmarkMaxProfitParallel(b *testing.B) {
-	tr := reqsched.WithWeights(reqsched.Bursty(reqsched.WorkloadConfig{
-		N: 16, D: 4, Rounds: 600, Rate: 0, Seed: 5,
-	}, 4, 8, 20), 8, 5)
-	want := reqsched.MaxProfit(tr)
-	b.Run("monolithic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reqsched.MaxProfit(tr)
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("segmented/workers=%d", workers), func(b *testing.B) {
-			var got int
+	weighted := reqsched.WithWeights(gapped(600), 8, 5)
+	for _, c := range []struct {
+		name       string
+		obj        reqsched.Objective
+		tr         *reqsched.Trace
+		monolithic func(*reqsched.Trace) int
+	}{
+		{"cardinality", reqsched.Cardinality, gapped(2000), reqsched.Optimum},
+		{"profit", reqsched.Profit, weighted, reqsched.MaxProfit},
+		{"min_latency", reqsched.MinLatency, weighted, func(tr *reqsched.Trace) int {
+			_, latency := reqsched.OptimumMinLatency(tr)
+			return latency
+		}},
+	} {
+		want := c.monolithic(c.tr)
+		b.Run(c.name+"/monolithic", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got = reqsched.MaxProfitParallel(tr, workers)
+				c.monolithic(c.tr)
 			}
-			if got != want {
-				b.Fatalf("MaxProfitParallel = %d, MaxProfit = %d", got, want)
-			}
-			b.ReportMetric(float64(reqsched.TraceSegmentCount(tr)), "segments")
 		})
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				var got int
+				for i := 0; i < b.N; i++ {
+					got, _ = reqsched.Solve(c.tr, c.obj, workers)
+				}
+				if got != want {
+					b.Fatalf("Solve(%s, workers=%d) = %d, monolithic %d", c.name, workers, got, want)
+				}
+				b.ReportMetric(float64(reqsched.TraceSegmentCount(c.tr)), "segments")
+			})
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package app
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,83 +19,9 @@ import (
 	"reqsched/internal/workload"
 )
 
-// benchEntry is one strategy's measured baseline.
-type benchEntry struct {
-	Strategy       string  `json:"strategy"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	Fulfilled      int     `json:"fulfilled"`
-}
-
-// benchOfflineEntry is one worker count's segmented-solver timing.
-type benchOfflineEntry struct {
-	Workers int     `json:"workers"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Speedup is monolithic ns / segmented ns at this worker count.
-	Speedup float64 `json:"speedup_vs_monolithic"`
-}
-
-// benchOffline records the segmented parallel offline optimum against the
-// monolithic Hopcroft–Karp solver on a gapped bursty trace (clean segment
-// cuts between bursts).
-type benchOffline struct {
-	Workload struct {
-		N         int     `json:"n"`
-		D         int     `json:"d"`
-		Rounds    int     `json:"rounds"`
-		On        int     `json:"on"`
-		Off       int     `json:"off"`
-		BurstRate float64 `json:"burst_rate"`
-		Seed      int64   `json:"seed"`
-		Requests  int     `json:"requests"`
-	} `json:"workload"`
-	Segments int `json:"segments"`
-	Optimum  int `json:"optimum"`
-	// GOMAXPROCS records the CPUs the timings ran on: with one visible CPU
-	// the speedup is algorithmic (many small matchings beat one monolithic
-	// run), not thread-level.
-	GOMAXPROCS   int                 `json:"gomaxprocs"`
-	MonolithicNs float64             `json:"monolithic_ns_per_op"`
-	Entries      []benchOfflineEntry `json:"entries"`
-}
-
-// benchWeighted records the segmented weighted offline solvers (max profit,
-// min latency) against their monolithic min-cost-flow counterparts on a
-// gapped bursty trace with harmonic request weights. The monolithic solvers
-// run successive shortest paths over the whole graph and scale superlinearly
-// in the trace, so they are timed once (reps=1) and the min-latency pair runs
-// on a tenth of the profit workload to keep the harness bounded.
-type benchWeighted struct {
-	Workload struct {
-		N         int     `json:"n"`
-		D         int     `json:"d"`
-		Rounds    int     `json:"rounds"`
-		On        int     `json:"on"`
-		Off       int     `json:"off"`
-		BurstRate float64 `json:"burst_rate"`
-		Seed      int64   `json:"seed"`
-		MaxW      int     `json:"max_weight"`
-		Requests  int     `json:"requests"`
-	} `json:"workload"`
-	Segments   int `json:"segments"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// MaxProfit section: the weighted optimum and per-worker-count timings.
-	Profit             int                 `json:"profit"`
-	ProfitMonolithicNs float64             `json:"profit_monolithic_ns_per_op"`
-	ProfitEntries      []benchOfflineEntry `json:"profit_entries"`
-	// MinLatency section, on a smaller slice of the same workload shape.
-	MinLatencyRequests     int                 `json:"min_latency_requests"`
-	MinLatency             int                 `json:"min_latency"`
-	MinLatencyMonolithicNs float64             `json:"min_latency_monolithic_ns_per_op"`
-	MinLatencyEntries      []benchOfflineEntry `json:"min_latency_entries"`
-}
-
-// benchWorkload describes the gapped bursty trace the offline-style sections
-// run on (bursts of `on` rounds at `burst_rate`, then `off` silent rounds, so
-// every burst is an independent segment).
+// benchWorkload describes the gapped bursty trace the incremental and serve
+// sections run on (bursts of `on` rounds at `burst_rate`, then `off` silent
+// rounds, so every burst is an independent segment).
 type benchWorkload struct {
 	N         int     `json:"n"`
 	D         int     `json:"d"`
@@ -182,17 +107,6 @@ type benchModelHold struct {
 
 // benchBaseline is the file format of BENCH_engine.json.
 type benchBaseline struct {
-	Workload struct {
-		N        int     `json:"n"`
-		D        int     `json:"d"`
-		Rounds   int     `json:"rounds"`
-		Rate     float64 `json:"rate"`
-		Seed     int64   `json:"seed"`
-		Requests int     `json:"requests"`
-	} `json:"workload"`
-	Entries     []benchEntry      `json:"entries"`
-	Offline     *benchOffline     `json:"offline,omitempty"`
-	Weighted    *benchWeighted    `json:"weighted,omitempty"`
 	Incremental *benchIncremental `json:"incremental_opt,omitempty"`
 	ServeIngest *benchServeIngest `json:"serve_ingest,omitempty"`
 	ModelHold   *benchModelHold   `json:"model_hold,omitempty"`
@@ -212,56 +126,8 @@ func timeIt(reps int, f func()) float64 {
 	return best
 }
 
-// runBenchOffline measures the monolithic and segmented offline solvers on
-// a multi-segment trace of roughly `requests` requests.
-func runBenchOffline(requests int, stderr io.Writer) (*benchOffline, error) {
-	// Bursts of 4 rounds at burstRate, then 8 silent rounds (> d-1): every
-	// burst is an independent segment.
-	const (
-		n, d      = 16, 4
-		on, off   = 4, 8
-		burstRate = 50.0
-		seed      = 5
-	)
-	rounds := requests * (on + off) / (on * int(burstRate))
-	cfg := reqsched.WorkloadConfig{N: n, D: d, Rounds: rounds, Rate: 0, Seed: seed}
-	tr := reqsched.Bursty(cfg, on, off, burstRate)
-
-	var o benchOffline
-	o.Workload.N = n
-	o.Workload.D = d
-	o.Workload.Rounds = rounds
-	o.Workload.On = on
-	o.Workload.Off = off
-	o.Workload.BurstRate = burstRate
-	o.Workload.Seed = seed
-	o.Workload.Requests = tr.NumRequests()
-	o.Segments = reqsched.TraceSegmentCount(tr)
-	o.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	want := 0
-	o.MonolithicNs = timeIt(2, func() { want = reqsched.Optimum(tr) })
-	o.Optimum = want
-	for _, workers := range []int{1, 2, 4, 8} {
-		var got int
-		ns := timeIt(3, func() { got = reqsched.OptimumParallel(tr, workers) })
-		if got != want {
-			return nil, fmt.Errorf("BUG: OptimumParallel(workers=%d) = %d, Optimum = %d", workers, got, want)
-		}
-		o.Entries = append(o.Entries, benchOfflineEntry{
-			Workers: workers,
-			NsPerOp: ns,
-			Speedup: o.MonolithicNs / ns,
-		})
-		fmt.Fprintf(stderr, "offline workers=%d %14.0f ns/op  speedup %.2fx\n",
-			workers, ns, o.MonolithicNs/ns)
-	}
-	return &o, nil
-}
-
 // benchBurstyTrace builds the gapped bursty trace the incremental and serve
-// sections run on (same shape as runBenchOffline), sized to roughly
-// `requests` requests.
+// sections run on, sized to roughly `requests` requests.
 func benchBurstyTrace(requests int) (*reqsched.Trace, benchWorkload) {
 	const (
 		n, d      = 16, 4
@@ -461,113 +327,26 @@ func runBenchServeIngest(requests int, stderr io.Writer) (*benchServeIngest, err
 	return o, nil
 }
 
-// benchWeightedWorkload builds the gapped bursty weighted trace the
-// weighted benchmarks run on, sized to roughly `requests` requests.
-func benchWeightedWorkload(requests int) (*reqsched.Trace, int) {
-	const (
-		n, d      = 16, 4
-		on, off   = 4, 8
-		burstRate = 50.0
-		seed      = 5
-		maxW      = 8
-	)
-	rounds := requests * (on + off) / (on * int(burstRate))
-	cfg := reqsched.WorkloadConfig{N: n, D: d, Rounds: rounds, Rate: 0, Seed: seed}
-	return reqsched.WithWeights(reqsched.Bursty(cfg, on, off, burstRate), maxW, seed), rounds
-}
-
-// runBenchWeighted measures the monolithic and segmented weighted offline
-// solvers on a multi-segment weighted trace of roughly `requests` requests.
-func runBenchWeighted(requests int, stderr io.Writer) (*benchWeighted, error) {
-	tr, rounds := benchWeightedWorkload(requests)
-
-	var wt benchWeighted
-	wt.Workload.N = tr.N
-	wt.Workload.D = tr.D
-	wt.Workload.Rounds = rounds
-	wt.Workload.On = 4
-	wt.Workload.Off = 8
-	wt.Workload.BurstRate = 50.0
-	wt.Workload.Seed = 5
-	wt.Workload.MaxW = 8
-	wt.Workload.Requests = tr.NumRequests()
-	wt.Segments = reqsched.TraceSegmentCount(tr)
-	wt.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	// Max profit. The monolithic successive-shortest-paths solver is
-	// superlinear in the trace (~40 min at 10^5 requests on one core), so one
-	// rep only.
-	want := 0
-	wt.ProfitMonolithicNs = timeIt(1, func() { want = reqsched.MaxProfit(tr) })
-	wt.Profit = want
-	fmt.Fprintf(stderr, "weighted profit monolithic %14.0f ns/op\n", wt.ProfitMonolithicNs)
-	for _, workers := range []int{1, 2, 4, 8} {
-		var got int
-		ns := timeIt(3, func() { got = reqsched.MaxProfitParallel(tr, workers) })
-		if got != want {
-			return nil, fmt.Errorf("BUG: MaxProfitParallel(workers=%d) = %d, MaxProfit = %d", workers, got, want)
-		}
-		wt.ProfitEntries = append(wt.ProfitEntries, benchOfflineEntry{
-			Workers: workers, NsPerOp: ns, Speedup: wt.ProfitMonolithicNs / ns,
-		})
-		fmt.Fprintf(stderr, "weighted profit workers=%d %14.0f ns/op  speedup %.2fx\n",
-			workers, ns, wt.ProfitMonolithicNs/ns)
-	}
-
-	// Min latency, same shape at a tenth of the size (its monolithic solver
-	// pushes every augmenting path, not just the profitable ones).
-	small, _ := benchWeightedWorkload(requests / 10)
-	wt.MinLatencyRequests = small.NumRequests()
-	wantLat := 0
-	wt.MinLatencyMonolithicNs = timeIt(1, func() { _, wantLat = reqsched.OptimumMinLatency(small) })
-	wt.MinLatency = wantLat
-	fmt.Fprintf(stderr, "weighted minlat monolithic %14.0f ns/op\n", wt.MinLatencyMonolithicNs)
-	for _, workers := range []int{1, 2, 4, 8} {
-		var gotLat int
-		ns := timeIt(3, func() { _, gotLat = reqsched.OptimumMinLatencyParallel(small, workers) })
-		if gotLat != wantLat {
-			return nil, fmt.Errorf("BUG: OptimumMinLatencyParallel(workers=%d) = %d, OptimumMinLatency = %d", workers, gotLat, wantLat)
-		}
-		wt.MinLatencyEntries = append(wt.MinLatencyEntries, benchOfflineEntry{
-			Workers: workers, NsPerOp: ns, Speedup: wt.MinLatencyMonolithicNs / ns,
-		})
-		fmt.Fprintf(stderr, "weighted minlat workers=%d %14.0f ns/op  speedup %.2fx\n",
-			workers, ns, wt.MinLatencyMonolithicNs/ns)
-	}
-	return &wt, nil
-}
-
-// benchStrategies is the historical baseline set BENCH_engine.json records:
-// the Table 1 strategies plus the references and baselines whose timings
-// the alloc-regression tests in EXPERIMENTS.md compare against. The set is
-// pinned — entries are a file format, not an iteration default — so it
-// stays a literal here rather than a registry query.
-var benchStrategies = []string{
-	"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
-	"EDF", "first_fit", "A_local_fix", "A_local_eager",
-}
-
-// BenchMain is the main program of cmd/bench: it records the engine's
-// performance baseline as JSON. It runs the BenchmarkEngine workload
-// (uniform, N=16, D=6, 300 rounds, rate 18, seed 11) through each strategy
-// under testing.Benchmark and emits one entry per strategy with ns/op,
-// allocs/op, bytes/op and derived throughput, plus an offline section
-// benchmarking the segmented parallel optimum against the monolithic solver
-// on a million-request multi-segment trace. The checked-in
-// BENCH_engine.json is the reference the alloc-regression tests in
-// EXPERIMENTS.md compare against:
+// BenchMain is the main program of cmd/bench: it records, as JSON, the
+// performance baseline of the machinery the CI regression gate guards — the
+// incremental rolling optimum against cold per-segment solves, end-to-end
+// serve ingest, and the engine under hold=k service models. -check-regress
+// reruns those sections at the checked-in sizes and fails on an ns/op
+// regression past the tolerance:
 //
 //	go run ./cmd/bench -out BENCH_engine.json
+//	go run ./cmd/bench -check-regress BENCH_engine.json
+//
+// Per-strategy engine throughput is `go test -run '^$' -bench
+// '^BenchmarkEngine$' -benchmem .`, and the segmented offline optima against
+// their monolithic oracles are `go test -run '^$' -bench '^BenchmarkSolve$' .`.
 func BenchMain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("bench", stderr)
 	out := fs.String("out", "", "output file (default stdout)")
-	benchtime := fs.Duration("benchtime", 0, "per-strategy benchmark time (default testing's 1s)")
-	offlineReqs := fs.Int("offline-requests", 1_000_000, "request count for the segmented-optimum benchmark (0 skips it)")
-	weightedReqs := fs.Int("weighted-requests", 100_000, "request count for the weighted-optima benchmark (0 skips it; the monolithic reference is superlinear — ~40 min at the default size)")
 	incReqs := fs.Int("incremental-requests", 200_000, "request count for the incremental-optimum benchmark (0 skips it)")
 	serveReqs := fs.Int("serve-requests", 50_000, "request count for the serve-ingest benchmark (0 skips it)")
 	modelReqs := fs.Int("model-requests", 50_000, "request count per service model for the model_hold benchmark (0 skips it)")
-	regressFile := fs.String("check-regress", "", "baseline BENCH_engine.json: rerun the incremental_opt, serve_ingest and model_hold sections at the baseline's sizes and fail if ns/op regresses past -regress-tolerance (skips everything else)")
+	regressFile := fs.String("check-regress", "", "baseline BENCH_engine.json: rerun the incremental_opt, serve_ingest and model_hold sections at the baseline's sizes and fail if ns/op regresses past -regress-tolerance")
 	regressTol := fs.Float64("regress-tolerance", 0.25, "allowed fractional ns/op regression in -check-regress mode")
 	workers := workersFlag(fs)
 	list, describe := listingFlags(fs)
@@ -580,72 +359,8 @@ func BenchMain(args []string, stdout, stderr io.Writer) int {
 	if *regressFile != "" {
 		return benchCheckRegress(*regressFile, *regressTol, stdout, stderr)
 	}
-	if *benchtime > 0 {
-		// testing.Benchmark honours the -test.benchtime flag.
-		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-		testing.Init()
-		flag.Set("test.benchtime", benchtime.String())
-	}
-
-	cfg := reqsched.WorkloadConfig{N: 16, D: 6, Rounds: 300, Rate: 18, Seed: 11}
-	tr := reqsched.Uniform(cfg)
 
 	var base benchBaseline
-	base.Workload.N = cfg.N
-	base.Workload.D = cfg.D
-	base.Workload.Rounds = cfg.Rounds
-	base.Workload.Rate = cfg.Rate
-	base.Workload.Seed = cfg.Seed
-	base.Workload.Requests = tr.NumRequests()
-
-	for _, name := range benchStrategies {
-		name := name
-		var fulfilled int
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := reqsched.RunChecked(reqsched.StrategyByName(name), tr)
-				if err != nil {
-					b.Fatalf("run %s: %v", name, err)
-				}
-				fulfilled = res.Fulfilled
-			}
-		})
-		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-		opsPerSec := 0.0
-		if nsPerOp > 0 {
-			opsPerSec = 1e9 / nsPerOp
-		}
-		totalRounds := float64(tr.Horizon())
-		base.Entries = append(base.Entries, benchEntry{
-			Strategy:       name,
-			NsPerOp:        nsPerOp,
-			AllocsPerOp:    r.AllocsPerOp(),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			RoundsPerSec:   opsPerSec * totalRounds,
-			RequestsPerSec: opsPerSec * float64(tr.NumRequests()),
-			Fulfilled:      fulfilled,
-		})
-		fmt.Fprintf(stderr, "%-16s %12.0f ns/op %8d allocs/op %10d B/op  served %d\n",
-			name, nsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), fulfilled)
-	}
-
-	if *offlineReqs > 0 {
-		o, err := runBenchOffline(*offlineReqs, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		base.Offline = o
-	}
-	if *weightedReqs > 0 {
-		wt, err := runBenchWeighted(*weightedReqs, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		base.Weighted = wt
-	}
 	if *incReqs > 0 {
 		inc, err := runBenchIncremental(*incReqs, stderr)
 		if err != nil {
@@ -693,8 +408,7 @@ func BenchMain(args []string, stdout, stderr io.Writer) int {
 // benchCheckRegress is the CI benchmark-regression guard: it reruns the cheap
 // incremental_opt, serve_ingest and model_hold sections at the sizes recorded
 // in the checked-in baseline and fails if any ns/op metric regressed past tol
-// (fractional — 0.25 allows +25%). Getting faster never fails; the strategy,
-// offline and weighted sections are too slow for a CI gate and are skipped.
+// (fractional — 0.25 allows +25%). Getting faster never fails.
 func benchCheckRegress(path string, tol float64, stdout, stderr io.Writer) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -30,7 +30,7 @@ func modelChecks(add func(name string, ok bool, format string, args ...interface
 	for _, h := range []int{2, 4, 8} {
 		c := adversary.HoldSqueeze(h, 30)
 		res := core.Run(greedy(), c.Trace)
-		opt := offline.OptimumParallel(c.Trace, workers)
+		opt, _ := offline.Solve(c.Trace, offline.Cardinality, workers)
 		ok := res.Fulfilled > 0 && opt == 2*res.Fulfilled
 		add(fmt.Sprintf("model: hold_squeeze hold=%d exactly 2", h), ok,
 			"OPT %d vs greedy %d (charging bound %.0f, cf. arXiv 2304.03377)",
@@ -48,7 +48,7 @@ func modelChecks(add func(name string, ok bool, format string, args ...interface
 			tr := workload.Reusable(workload.Config{N: 6, D: 5, Rounds: 80, Seed: int64(10*h + capc)}, m, 0.9)
 			cells++
 			want := offline.Optimum(tr)
-			if offline.OptimumParallel(tr, workers) != want || offline.OptimumIncremental(tr) != want {
+			if got, _ := offline.Solve(tr, offline.Cardinality, workers); got != want || offline.OptimumIncremental(tr) != want {
 				mismatch++
 			}
 			res := core.Run(greedy(), tr)

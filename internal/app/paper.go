@@ -115,8 +115,9 @@ func PaperMain(args []string, stdout, stderr io.Writer) int {
 	section("Observation 3.1/3.2 — EDF")
 	single := reqsched.SingleChoice(reqsched.WorkloadConfig{N: 4, D: 4, Rounds: 60, Rate: 6, Seed: 2})
 	edf := reqsched.Run(reqsched.NewEDF(), single)
+	singleOpt, _ := reqsched.Solve(single, reqsched.Cardinality, w)
 	fmt.Fprintf(stdout, "  single-choice: EDF %d == OPT %d (greedy EDS %d)\n",
-		edf.Fulfilled, reqsched.OptimumParallel(single, w), reqsched.EarliestDeadlineSchedule(single))
+		edf.Fulfilled, singleOpt, reqsched.EarliestDeadlineSchedule(single))
 	worstJobs := []reqsched.MeasureJob{{
 		Name:     "EDF worst case",
 		Build:    func() reqsched.Construction { return reqsched.AdversaryEDF(4, cfg.Phases) },
@@ -131,7 +132,7 @@ func PaperMain(args []string, stdout, stderr io.Writer) int {
 	section("Weighted extension — segmented offline optima (profit, min latency)")
 	weighted := reqsched.WithWeights(reqsched.Bursty(reqsched.WorkloadConfig{
 		N: 8, D: 4, Rounds: 400, Rate: 0, Seed: 7}, 12, 20, 14), 8, 7)
-	profit := reqsched.MaxProfitParallel(weighted, w)
+	profit, _ := reqsched.Solve(weighted, reqsched.Profit, w)
 	fmt.Fprintf(stdout, "  bursty weighted workload: %d requests, %d segments\n",
 		weighted.NumRequests(), reqsched.TraceSegmentCount(weighted))
 	fmt.Fprintf(stdout, "  max profit (segmented): %d\n", profit)
@@ -140,7 +141,7 @@ func PaperMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-17s weight served %6d  profit ratio %.4f\n",
 			s.Name()+":", res.WeightFulfilled, float64(profit)/float64(res.WeightFulfilled))
 	}
-	_, latency := reqsched.OptimumMinLatencyParallel(weighted, w)
+	latency, _ := reqsched.Solve(weighted, reqsched.MinLatency, w)
 	fmt.Fprintf(stdout, "  min total latency among max-cardinality schedules: %d\n", latency)
 
 	section("Adaptive adversary, streamed (Theorem 2.6): OPT computed segment by segment")

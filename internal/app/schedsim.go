@@ -180,7 +180,7 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "workload %s: %s\n", *wl, reqsched.SummarizeTrace(tr))
-	opt := reqsched.OptimumParallel(tr, resolveWorkers(*workers))
+	opt, _ := reqsched.Solve(tr, reqsched.Cardinality, resolveWorkers(*workers))
 	fmt.Fprintf(stdout, "offline optimum: %d of %d requests (%d segments)\n\n",
 		opt, tr.NumRequests(), reqsched.TraceSegmentCount(tr))
 

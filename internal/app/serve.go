@@ -168,7 +168,7 @@ func serveChecks(add func(name string, ok bool, format string, args ...interface
 	s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(buf.Bytes())))
 	m := s.Drain()
 	want := reqsched.Run(reqsched.NewABalance(), tr)
-	opt := reqsched.OptimumParallel(tr, workers)
+	opt, _ := reqsched.Solve(tr, reqsched.Cardinality, workers)
 	ok := rw.Code == http.StatusOK &&
 		m.Requests == want.Requests && m.Fulfilled == want.Fulfilled && m.Expired == want.Expired &&
 		m.Rolling.Alg == want.Fulfilled && m.Rolling.Opt == opt &&

@@ -129,7 +129,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		want := reqsched.Optimum(tr)
-		got := reqsched.OptimumParallel(tr, w)
+		got, _ := reqsched.Solve(tr, reqsched.Cardinality, w)
 		add("segmented OPT: "+r.name, got == want,
 			"parallel %d vs monolithic %d (%d segments)", got, want, reqsched.TraceSegmentCount(tr))
 	}
@@ -148,7 +148,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 			cfg.Rate = 0
 			tr = reqsched.Bursty(cfg, 3, 2+rng.Intn(6), r)
 		}
-		if reqsched.OptimumParallel(tr, w) != reqsched.Optimum(tr) {
+		if got, _ := reqsched.Solve(tr, reqsched.Cardinality, w); got != reqsched.Optimum(tr) {
 			mismatches++
 		}
 	}
@@ -198,7 +198,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	// random weighted workloads. The monolithic weighted solvers are
 	// superquadratic, so the largest row trace (A_balance k=64, ~35k
 	// requests) is skipped here; the offline package's property tests and
-	// cmd/bench cover the weighted solvers at scale.
+	// BenchmarkSolve cover the weighted solvers at scale.
 	for _, r := range rows {
 		tr := r.build().Trace
 		if tr == nil || tr.NumRequests() > 5000 {
@@ -206,11 +206,11 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 		}
 		wtr := reqsched.WithWeights(tr, 8, 77)
 		wantP := reqsched.MaxProfit(wtr)
-		gotP := reqsched.MaxProfitParallel(wtr, w)
+		gotP, _ := reqsched.Solve(wtr, reqsched.Profit, w)
 		add("segmented profit: "+r.name, gotP == wantP,
 			"parallel %d vs monolithic %d", gotP, wantP)
 		_, wantL := reqsched.OptimumMinLatency(wtr)
-		logP, gotL := reqsched.OptimumMinLatencyParallel(wtr, w)
+		gotL, logP := reqsched.Solve(wtr, reqsched.MinLatency, w)
 		add("segmented min latency: "+r.name,
 			gotL == wantL && reqsched.ValidateLog(wtr, logP) == nil,
 			"parallel %d vs monolithic %d (schedule of %d valid=%v)",
@@ -232,8 +232,9 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 		}
 		wtr := reqsched.WithWeights(tr, 1+rng.Intn(9), rng.Int63())
 		_, wantL := reqsched.OptimumMinLatency(wtr)
-		_, gotL := reqsched.OptimumMinLatencyParallel(wtr, w)
-		if reqsched.MaxProfitParallel(wtr, w) != reqsched.MaxProfit(wtr) || gotL != wantL {
+		gotL, _ := reqsched.Solve(wtr, reqsched.MinLatency, w)
+		gotP, _ := reqsched.Solve(wtr, reqsched.Profit, w)
+		if gotP != reqsched.MaxProfit(wtr) || gotL != wantL {
 			wMismatches++
 		}
 	}

@@ -53,7 +53,7 @@ func sameSchedule(t *testing.T, label string, a, b *core.Result) {
 func optimaAgree(t *testing.T, label string, tr *core.Trace) {
 	t.Helper()
 	want := offline.Optimum(tr)
-	if got := offline.OptimumParallel(tr, 3); got != want {
+	if got, _ := offline.Solve(tr, offline.Cardinality, 3); got != want {
 		t.Errorf("%s: segmented OPT %d vs batch %d", label, got, want)
 	}
 	if got := offline.OptimumIncremental(tr); got != want {
@@ -63,7 +63,7 @@ func optimaAgree(t *testing.T, label string, tr *core.Trace) {
 	if got := offline.Optimum(cp); got != want {
 		t.Errorf("%s: explicit unit model changed batch OPT: %d vs %d", label, got, want)
 	}
-	if got := offline.OptimumParallel(cp, 3); got != want {
+	if got, _ := offline.Solve(cp, offline.Cardinality, 3); got != want {
 		t.Errorf("%s: explicit unit model changed segmented OPT: %d vs %d", label, got, want)
 	}
 	if got := offline.OptimumIncremental(cp); got != want {

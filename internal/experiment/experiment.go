@@ -242,7 +242,8 @@ func (c *Config) Run() (*Report, error) {
 	rep := &Report{Config: c}
 	optSum := 0
 	for seed := int64(0); seed < int64(c.Seeds); seed++ {
-		optSum += offline.OptimumParallel(gen(seed), c.Workers)
+		opt, _ := offline.Solve(gen(seed), offline.Cardinality, c.Workers)
+		optSum += opt
 	}
 	rep.MeanOptimum = float64(optSum) / float64(c.Seeds)
 	for _, name := range c.Strategies {

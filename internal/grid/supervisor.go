@@ -106,7 +106,7 @@ func (o *Options) withDefaults() Options {
 	if out.BackoffMax <= 0 {
 		out.BackoffMax = 5 * time.Second
 	}
-	out.Log = lockedLog(out.Log)
+	out.Log = LockedLog(out.Log)
 	return out
 }
 

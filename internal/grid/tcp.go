@@ -96,8 +96,13 @@ type TCPTransport struct {
 	// (worker address, 0-based per-link message index). The chaos property
 	// tests use it to kill the supervisor at exact message boundaries.
 	MsgHook func(addr string, msg int)
-	// Log receives transport diagnostics (nil: discard).
+	// Log receives transport diagnostics (nil: discard). Every supervisor
+	// slot dials concurrently, so Dial serializes the writes (see LockedLog);
+	// hand the supervisor the same LockedLog writer to share one lock.
 	Log io.Writer
+
+	logOnce sync.Once
+	lg      io.Writer
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -109,10 +114,8 @@ type TCPTransport struct {
 func (t *TCPTransport) Slots() int { return len(t.Addrs) }
 
 func (t *TCPTransport) log() io.Writer {
-	if t.Log == nil {
-		return io.Discard
-	}
-	return t.Log
+	t.logOnce.Do(func() { t.lg = LockedLog(t.Log) })
+	return t.lg
 }
 
 func (t *TCPTransport) ioTimeout() time.Duration {

@@ -2,6 +2,7 @@ package grid_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -565,4 +566,37 @@ func TestTCPDuplicateResultDiscarded(t *testing.T) {
 		t.Fatalf("accepted run discarded %d duplicates, want %d", rep.Duplicates, wantDup)
 	}
 	requireCleanJournal(t, jpath, jobs, want)
+}
+
+// TestTCPDialsShareLog pins that concurrent Dials of one TCPTransport can
+// share its log writer: every supervisor slot dials at once, and each failed
+// attempt writes a redial line, so an unserialized bytes.Buffer is a data
+// race that -race reports.
+func TestTCPDialsShareLog(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, ln.Addr().String())
+		ln.Close() // nothing listens there any more: every dial is refused
+	}
+	var buf bytes.Buffer
+	tr := &grid.TCPTransport{Addrs: addrs, Redials: 3, BackoffBase: time.Millisecond, Log: &buf}
+	var wg sync.WaitGroup
+	for slot := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var lost *grid.HostLost
+			if _, err := tr.Dial(context.Background(), slot); !errors.As(err, &lost) {
+				t.Errorf("slot %d: Dial = %v, want HostLost", slot, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := strings.Count(buf.String(), "grid: dial "); got != 2*3 {
+		t.Fatalf("log holds %d redial lines, want %d:\n%s", got, 2*3, buf.String())
+	}
 }

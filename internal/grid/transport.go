@@ -77,7 +77,7 @@ type PipeTransport struct {
 	// Env is appended to the inherited environment of each worker.
 	Env []string
 	// Log receives worker stderr (nil: discard). Every worker's stderr
-	// copier writes it, so Dial serializes the writes (see lockedLog).
+	// copier writes it, so Dial serializes the writes (see LockedLog).
 	Log io.Writer
 
 	logOnce sync.Once
@@ -90,7 +90,7 @@ func (t *PipeTransport) Dial(ctx context.Context, slot int) (WorkerConn, error) 
 	if len(t.Cmd) == 0 {
 		return nil, errors.New("grid: no worker command configured")
 	}
-	t.logOnce.Do(func() { t.log = lockedLog(t.Log) })
+	t.logOnce.Do(func() { t.log = LockedLog(t.Log) })
 	cmd := exec.Command(t.Cmd[0], t.Cmd[1:]...)
 	cmd.Env = append(os.Environ(), t.Env...)
 	stdin, err := cmd.StdinPipe()
@@ -139,13 +139,14 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// lockedLog returns w made safe for concurrent writers. exec copies a
-// non-file Stderr on a goroutine of its own per process, so one log handed to
-// several workers — and to the supervisor's own diagnostics — is written
-// concurrently. nil becomes io.Discard; a writer lockedLog already wrapped
-// is returned as it is, so the supervisor and its pipe transport share one
-// lock.
-func lockedLog(w io.Writer) io.Writer {
+// LockedLog returns w made safe for concurrent writers. exec copies a
+// non-file Stderr on a goroutine of its own per process, and every slot's
+// TCP Dial logs its redials, so one log handed to several workers — and to
+// the supervisor's own diagnostics — is written concurrently. nil becomes
+// io.Discard; a writer LockedLog already wrapped is returned as it is, so the
+// supervisor and its transport share one lock when both get the same wrapped
+// writer.
+func LockedLog(w io.Writer) io.Writer {
 	switch w.(type) {
 	case nil:
 		return io.Discard

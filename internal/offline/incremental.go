@@ -3,7 +3,7 @@
 // OPT so far" while a segment is still open, by maintaining a maximum matching
 // (matching.Incremental) that grows one request at a time. Max-cardinality
 // matching is order-independent, so a sealed segment reports bit for bit the
-// same optimum as Optimum/OptimumParallel/OptimumStream on the same requests.
+// same optimum as Optimum, Solve and OptimumStream on the same requests.
 package offline
 
 import (
@@ -112,7 +112,8 @@ func (o *IncrementalOpt) Seal() int {
 // at core.Segmenter's clean cuts, so right-vertex rows restart at the new
 // base and memory stays proportional to the widest open window, not the
 // horizon; maximum matching decomposes over the independent pieces, so the
-// seals do not change the value.
+// seals do not change the value. It is kept beside Solve because cmd/bench's
+// gated incremental_opt section times it.
 func OptimumIncremental(tr *core.Trace) int {
 	o := NewIncrementalOptModel(tr.N, tr.Model)
 	cut := core.NewSegmenter(tr.Model)

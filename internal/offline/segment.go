@@ -9,6 +9,7 @@
 package offline
 
 import (
+	"fmt"
 	"iter"
 	"runtime"
 	"sort"
@@ -320,125 +321,115 @@ func Segments(tr *core.Trace) []Segment {
 	return segs
 }
 
-// solvePool is the one worker pool of the segmented solvers. It folds solve
-// over every (space, Segment) piece the iterator yields, on workers
-// goroutines (workers <= 0: GOMAXPROCS), and returns each worker's
-// accumulator for the caller to combine. Each worker owns its segSolver
-// scratch, so steady-state allocation is per worker, not per piece. Pieces
-// are handed over unbuffered: at most workers+1 are in memory at once, one
-// per worker plus the one the iterator holds, which is what bounds the memory
-// of a streamed solve. Which worker solves which piece depends on scheduling,
-// so callers combine accumulators with order-independent folds (int64 sums,
-// logs sorted by request ID) to stay deterministic.
-func solvePool[A any](pieces iter.Seq2[space, Segment], workers int, solve func(ss *segSolver, sp space, seg Segment, acc A) A) []A {
+// Objective selects the offline optimum Solve computes.
+type Objective int
+
+const (
+	// Cardinality is the maximum number of requests an offline schedule
+	// serves (Optimum).
+	Cardinality Objective = iota
+	// Profit is the maximum total request weight an offline schedule serves
+	// (MaxProfit; equals Cardinality on unweighted traces).
+	Profit
+	// MinLatency is the minimum total service latency among
+	// maximum-cardinality offline schedules (OptimumMinLatency).
+	MinLatency
+)
+
+// Solve returns the offline optimum of tr under obj, computed by decomposing
+// the trace into independent segments (Segments) and solving each on the
+// worker pool (workers <= 0: GOMAXPROCS; never more goroutines than
+// segments). Matchings of every objective decompose exactly over connected
+// components — no augmenting or profit-improving path crosses between them —
+// so value equals the monolithic solver's exactly, while peak memory is
+// proportional to the largest segment rather than the horizon. log is set
+// only for MinLatency: a schedule with OptimumMinLatency's guarantees
+// (maximum cardinality, minimum total latency) in request-ID order, possibly
+// a different one of the equally cheap schedules.
+func Solve(tr *core.Trace, obj Objective, workers int) (value int, log []core.Fulfillment) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	accs := make([]A, workers)
-	if workers == 1 {
-		ss := newSegSolver()
-		for sp, seg := range pieces {
-			accs[0] = solve(ss, sp, seg, accs[0])
-		}
-		return accs
-	}
-	type piece struct {
-		sp  space
-		seg Segment
-	}
-	ch := make(chan piece)
-	var wg sync.WaitGroup
-	for w := range accs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			for p := range ch {
-				accs[w] = solve(ss, p.sp, p.seg, accs[w])
-			}
-		}()
-	}
-	for sp, seg := range pieces {
-		ch <- piece{sp, seg}
-	}
-	close(ch)
-	wg.Wait()
-	return accs
-}
-
-// sumPool sums a per-piece int64 objective over the pool.
-func sumPool(pieces iter.Seq2[space, Segment], workers int, solve func(*segSolver, space, Segment) int64) int64 {
-	accs := solvePool(pieces, workers, func(ss *segSolver, sp space, seg Segment, acc int64) int64 {
-		return acc + solve(ss, sp, seg)
-	})
-	total := int64(0)
-	for _, a := range accs {
-		total += a
-	}
-	return total
-}
-
-// segmentPieces yields segs, pieces of tr, each in tr's slot geometry, and
-// returns the pool size to solve them with: workers (<= 0: GOMAXPROCS), but
-// never more goroutines than pieces.
-func segmentPieces(tr *core.Trace, segs []Segment, workers int) (iter.Seq2[space, Segment], int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(segs)))
+	segs := Segments(tr)
 	sp := spaceOf(tr)
-	return func(yield func(space, Segment) bool) {
+	pieces := func(yield func(space, Segment) bool) {
 		for _, seg := range segs {
 			if !yield(sp, seg) {
 				return
 			}
 		}
-	}, workers
-}
-
-// OptimumParallel returns exactly Optimum(tr), computed by decomposing the
-// trace into independent segments (Segments) and solving each with
-// Hopcroft–Karp on the worker pool. Peak memory is proportional to the
-// largest segment rather than the horizon. workers <= 0 means GOMAXPROCS.
-func OptimumParallel(tr *core.Trace, workers int) int {
-	pieces, workers := segmentPieces(tr, Segments(tr), workers)
-	return int(sumPool(pieces, workers, (*segSolver).cardinality))
-}
-
-// MaxProfitParallel returns exactly MaxProfit(tr) — the weighted offline
-// optimum — by solving independent segments on the worker pool. Matchings of
-// any objective decompose exactly over connected components (no augmenting or
-// profit-improving path crosses between them), so the per-segment int64
-// profit folds sum to the monolithic value.
-func MaxProfitParallel(tr *core.Trace, workers int) int {
-	pieces, workers := segmentPieces(tr, Segments(tr), workers)
-	return int(sumPool(pieces, workers, (*segSolver).maxProfit))
-}
-
-// OptimumMinLatencyParallel returns a schedule with OptimumMinLatency's exact
-// guarantees — maximum cardinality, minimum total latency — computed per
-// segment on the worker pool. Per-segment fulfillment logs (already in
-// absolute rounds) are stitched back in request-ID order; the latency total
-// equals the monolithic solver's exactly, though the two may pick different
-// equally cheap schedules.
-func OptimumMinLatencyParallel(tr *core.Trace, workers int) ([]core.Fulfillment, int) {
-	type acc struct {
-		log     []core.Fulfillment
-		latency int64
 	}
-	pieces, workers := segmentPieces(tr, Segments(tr), workers)
-	accs := solvePool(pieces, workers, func(ss *segSolver, sp space, seg Segment, a acc) acc {
-		log, latency := ss.minLatency(sp, seg, a.log)
-		return acc{log, a.latency + latency}
-	})
+	return solvePool(pieces, obj, max(1, min(workers, len(segs))))
+}
+
+// solvePool is the one worker pool of the segmented solvers. It solves obj on
+// every (space, Segment) piece the iterator yields, on workers goroutines
+// (workers <= 0: GOMAXPROCS), and returns the summed value plus, for
+// MinLatency, the pieces' fulfillment logs. Each worker owns its segSolver
+// scratch, so steady-state allocation is per worker, not per piece. Pieces
+// are handed over unbuffered: at most workers+1 are in memory at once, one
+// per worker plus the one the iterator holds, which is what bounds the memory
+// of a streamed solve. Which worker solves which piece depends on scheduling;
+// int64 sums and logs sorted by request ID keep the result deterministic.
+func solvePool(pieces iter.Seq2[space, Segment], obj Objective, workers int) (int, []core.Fulfillment) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	type acc struct {
+		value int64
+		log   []core.Fulfillment
+	}
+	accs := make([]acc, workers)
+	solve := func(ss *segSolver, sp space, seg Segment, a *acc) {
+		switch obj {
+		case Cardinality:
+			a.value += ss.cardinality(sp, seg)
+		case Profit:
+			a.value += ss.maxProfit(sp, seg)
+		case MinLatency:
+			var latency int64
+			a.log, latency = ss.minLatency(sp, seg, a.log)
+			a.value += latency
+		default:
+			panic(fmt.Sprintf("offline: unknown objective %d", obj))
+		}
+	}
+	if workers == 1 {
+		ss := newSegSolver()
+		for sp, seg := range pieces {
+			solve(ss, sp, seg, &accs[0])
+		}
+	} else {
+		type piece struct {
+			sp  space
+			seg Segment
+		}
+		ch := make(chan piece)
+		var wg sync.WaitGroup
+		for w := range accs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ss := newSegSolver()
+				for p := range ch {
+					solve(ss, p.sp, p.seg, &accs[w])
+				}
+			}()
+		}
+		for sp, seg := range pieces {
+			ch <- piece{sp, seg}
+		}
+		close(ch)
+		wg.Wait()
+	}
+	total := int64(0)
 	var log []core.Fulfillment
-	latency := int64(0)
 	for _, a := range accs {
+		total += a.value
 		log = append(log, a.log...)
-		latency += a.latency
 	}
 	sort.Slice(log, func(i, j int) bool { return log[i].Req.ID < log[j].Req.ID })
-	return log, int(latency)
+	return int(total), log
 }
 
 // OptimumStream sums the offline optimum over a stream of independent
@@ -447,7 +438,8 @@ func OptimumMinLatencyParallel(tr *core.Trace, workers int) ([]core.Fulfillment,
 // once — the bounded-memory evaluation path for traces too large to
 // materialize. It returns the total optimum and the number of segments
 // consumed. The first error from the iterator stops consumption and is
-// returned after in-flight segments finish.
+// returned after in-flight segments finish. It is kept beside Solve because
+// its input is never a materialized trace; tracegen is its caller.
 func OptimumStream(segments iter.Seq2[*core.Trace, error], workers int) (opt, nsegs int, err error) {
 	pieces := func(yield func(space, Segment) bool) {
 		for tr, serr := range segments {
@@ -461,9 +453,9 @@ func OptimumStream(segments iter.Seq2[*core.Trace, error], workers int) (opt, ns
 			}
 		}
 	}
-	total := sumPool(pieces, workers, (*segSolver).cardinality)
+	opt, _ = solvePool(pieces, Cardinality, workers)
 	if err != nil {
 		return 0, nsegs, err
 	}
-	return int(total), nsegs, nil
+	return opt, nsegs, nil
 }

@@ -119,12 +119,13 @@ func FuzzSegmentCuts(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		solved, _ := Solve(tr, Cardinality, 2)
 		checks := []struct {
 			name string
 			v    int
 		}{
 			{"Σ Optimum(sub-trace)", sum},
-			{"OptimumParallel(tr, 2)", OptimumParallel(tr, 2)},
+			{"Solve(tr, Cardinality, 2)", solved},
 			{"OptimumStream", streamed},
 			{"OptimumIncremental", OptimumIncremental(tr)},
 		}

@@ -29,13 +29,14 @@ func gappedTrace(rng *rand.Rand, n, d, bursts, perBurst int) *core.Trace {
 	return b.Build()
 }
 
-// checkParallel asserts OptimumParallel == Optimum for several worker counts.
+// checkParallel asserts Solve(tr, Cardinality, w) == Optimum for several
+// worker counts.
 func checkParallel(t *testing.T, name string, tr *core.Trace) {
 	t.Helper()
 	want := Optimum(tr)
 	for _, workers := range []int{1, 2, 4, 8} {
-		if got := OptimumParallel(tr, workers); got != want {
-			t.Fatalf("%s: OptimumParallel(workers=%d) = %d, Optimum = %d",
+		if got, _ := Solve(tr, Cardinality, workers); got != want {
+			t.Fatalf("%s: Solve(Cardinality, workers=%d) = %d, Optimum = %d",
 				name, workers, got, want)
 		}
 	}
@@ -180,12 +181,12 @@ func TestSegmentTraceInvariants(t *testing.T) {
 
 func TestOptimumParallelEmptyAndDegenerate(t *testing.T) {
 	empty := core.NewBuilder(3, 2).Build()
-	if got := OptimumParallel(empty, 4); got != 0 {
+	if got, _ := Solve(empty, Cardinality, 4); got != 0 {
 		t.Fatalf("empty trace: %d", got)
 	}
 	b := core.NewBuilder(1, 1)
 	b.Add(0, 0)
-	if got := OptimumParallel(b.Build(), 8); got != 1 {
+	if got, _ := Solve(b.Build(), Cardinality, 8); got != 1 {
 		t.Fatalf("one request: %d", got)
 	}
 }
@@ -193,8 +194,15 @@ func TestOptimumParallelEmptyAndDegenerate(t *testing.T) {
 // sumOver sums the per-segment optima of segs, pieces of tr, on the
 // worker pool.
 func sumOver(tr *core.Trace, segs []Segment, workers int) int {
-	pieces, workers := segmentPieces(tr, segs, workers)
-	return int(sumPool(pieces, workers, (*segSolver).cardinality))
+	sp := spaceOf(tr)
+	opt, _ := solvePool(func(yield func(space, Segment) bool) {
+		for _, seg := range segs {
+			if !yield(sp, seg) {
+				return
+			}
+		}
+	}, Cardinality, workers)
+	return opt
 }
 
 func TestComponentsMatchSegmentsOnGappedTraces(t *testing.T) {

@@ -20,13 +20,13 @@ func checkWeighted(t *testing.T, name string, tr *core.Trace) {
 	wantProfit := MaxProfit(tr)
 	wantLog, wantLat := OptimumMinLatency(tr)
 	for _, workers := range []int{1, 2, 4, 8} {
-		if got := MaxProfitParallel(tr, workers); got != wantProfit {
-			t.Fatalf("%s: MaxProfitParallel(workers=%d) = %d, MaxProfit = %d",
+		if got, _ := Solve(tr, Profit, workers); got != wantProfit {
+			t.Fatalf("%s: Solve(Profit, workers=%d) = %d, MaxProfit = %d",
 				name, workers, got, wantProfit)
 		}
-		log, lat := OptimumMinLatencyParallel(tr, workers)
+		lat, log := Solve(tr, MinLatency, workers)
 		if lat != wantLat {
-			t.Fatalf("%s: OptimumMinLatencyParallel(workers=%d) latency %d, OptimumMinLatency %d",
+			t.Fatalf("%s: Solve(MinLatency, workers=%d) latency %d, OptimumMinLatency %d",
 				name, workers, lat, wantLat)
 		}
 		if len(log) != len(wantLog) {
@@ -128,10 +128,10 @@ func TestWeightedParallelUnweightedConsistency(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		tr := gappedTrace(rng, 2+rng.Intn(3), 1+rng.Intn(3), 2+rng.Intn(3), 4)
 		opt := Optimum(tr)
-		if got := MaxProfitParallel(tr, 4); got != opt {
-			t.Fatalf("trial %d: unweighted MaxProfitParallel %d != Optimum %d", trial, got, opt)
+		if got, _ := Solve(tr, Profit, 4); got != opt {
+			t.Fatalf("trial %d: unweighted Solve(Profit) %d != Optimum %d", trial, got, opt)
 		}
-		log, _ := OptimumMinLatencyParallel(tr, 4)
+		_, log := Solve(tr, MinLatency, 4)
 		if len(log) != opt {
 			t.Fatalf("trial %d: min-latency schedule serves %d, Optimum %d", trial, len(log), opt)
 		}
@@ -140,19 +140,19 @@ func TestWeightedParallelUnweightedConsistency(t *testing.T) {
 
 func TestWeightedParallelEmptyAndDegenerate(t *testing.T) {
 	empty := core.NewBuilder(3, 2).Build()
-	if got := MaxProfitParallel(empty, 4); got != 0 {
+	if got, _ := Solve(empty, Profit, 4); got != 0 {
 		t.Fatalf("empty trace profit: %d", got)
 	}
-	if log, lat := OptimumMinLatencyParallel(empty, 4); len(log) != 0 || lat != 0 {
+	if lat, log := Solve(empty, MinLatency, 4); len(log) != 0 || lat != 0 {
 		t.Fatalf("empty trace min latency: %d fulfillments, latency %d", len(log), lat)
 	}
 	b := core.NewBuilder(1, 1)
 	b.Add(0, 0)
 	one := b.Build()
-	if got := MaxProfitParallel(one, 8); got != 1 {
+	if got, _ := Solve(one, Profit, 8); got != 1 {
 		t.Fatalf("one request profit: %d", got)
 	}
-	if log, lat := OptimumMinLatencyParallel(one, 8); len(log) != 1 || lat != 0 {
+	if lat, log := Solve(one, MinLatency, 8); len(log) != 1 || lat != 0 {
 		t.Fatalf("one request min latency: %d fulfillments, latency %d", len(log), lat)
 	}
 }

@@ -10,21 +10,23 @@ func init() {
 		Kind: KindObjective, Name: "cardinality",
 		Doc: "maximum number of requests an offline schedule serves (the competitive-ratio denominator's OPT)",
 		Evaluate: func(tr *core.Trace, workers int) int {
-			return offline.OptimumParallel(tr, workers)
+			opt, _ := offline.Solve(tr, offline.Cardinality, workers)
+			return opt
 		},
 	})
 	Register(Component{
 		Kind: KindObjective, Name: "max_profit",
 		Doc: "maximum total request weight an offline schedule serves (equals cardinality when unweighted)",
 		Evaluate: func(tr *core.Trace, workers int) int {
-			return offline.MaxProfitParallel(tr, workers)
+			profit, _ := offline.Solve(tr, offline.Profit, workers)
+			return profit
 		},
 	})
 	Register(Component{
 		Kind: KindObjective, Name: "min_latency",
 		Doc: "minimum total service latency among maximum-cardinality offline schedules",
 		Evaluate: func(tr *core.Trace, workers int) int {
-			_, lat := offline.OptimumMinLatencyParallel(tr, workers)
+			lat, _ := offline.Solve(tr, offline.MinLatency, workers)
 			return lat
 		},
 	})

@@ -134,10 +134,9 @@ func Run(ctx context.Context, jobs []grid.Job, o Options) (*Result, error) {
 	if tool == "" {
 		tool = "runner"
 	}
-	log := o.Log
-	if log == nil {
-		log = io.Discard
-	}
+	// One lock for every writer of the log: runner, supervisor and the TCP
+	// transport's concurrent Dials.
+	log := grid.LockedLog(o.Log)
 	if o.Resume && o.JournalPath == "" {
 		return nil, fmt.Errorf("%s: -resume requires -journal", tool)
 	}

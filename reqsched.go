@@ -112,14 +112,30 @@ func ValidateLog(tr *Trace, log []Fulfillment) error { return core.ValidateLog(t
 // Optimum returns the number of requests an optimal offline algorithm serves.
 func Optimum(tr *Trace) int { return offline.Optimum(tr) }
 
-// OptimumParallel returns exactly Optimum(tr), computed by decomposing the
-// trace into independent segments (clean time cuts, with a union-find
-// connected-components fallback) and solving each with Hopcroft–Karp on a
-// worker pool (workers <= 0: GOMAXPROCS). Peak memory is proportional to the
-// largest segment rather than the horizon.
-func OptimumParallel(tr *Trace, workers int) int { return offline.OptimumParallel(tr, workers) }
+// Objective selects the offline optimum Solve computes.
+type Objective = offline.Objective
 
-// TraceSegmentCount returns how many independent pieces OptimumParallel
+// The objectives Solve computes: the maximum number of requests served
+// (Optimum), the maximum total request weight served (MaxProfit), and the
+// minimum total latency among maximum-cardinality schedules
+// (OptimumMinLatency).
+const (
+	Cardinality = offline.Cardinality
+	Profit      = offline.Profit
+	MinLatency  = offline.MinLatency
+)
+
+// Solve returns exactly the monolithic optimum of tr under obj, computed by
+// decomposing the trace into independent segments (clean time cuts, with a
+// union-find connected-components fallback) and solving each on a worker
+// pool (workers <= 0: GOMAXPROCS). Peak memory is proportional to the
+// largest segment rather than the horizon. log is set only for MinLatency:
+// a minimum-latency schedule of maximum cardinality, in request-ID order.
+func Solve(tr *Trace, obj Objective, workers int) (value int, log []Fulfillment) {
+	return offline.Solve(tr, obj, workers)
+}
+
+// TraceSegmentCount returns how many independent pieces Solve
 // decomposes tr into (time segments, or slot-graph components when the trace
 // has no clean time cut).
 func TraceSegmentCount(tr *Trace) int { return len(offline.Segments(tr)) }
@@ -149,22 +165,9 @@ func OptimumSchedule(tr *Trace) []Fulfillment { return offline.OptimumSchedule(t
 // for throughput-optimal scheduling.
 func OptimumMinLatency(tr *Trace) ([]Fulfillment, int) { return offline.OptimumMinLatency(tr) }
 
-// OptimumMinLatencyParallel is OptimumMinLatency on the segmented worker
-// pool: same maximum cardinality and same (unique) minimum total latency,
-// computed per independent segment (workers <= 0: GOMAXPROCS).
-func OptimumMinLatencyParallel(tr *Trace, workers int) ([]Fulfillment, int) {
-	return offline.OptimumMinLatencyParallel(tr, workers)
-}
-
 // MaxProfit returns the maximum total request weight an offline schedule can
 // serve (the weighted extension's optimum; equals Optimum when unweighted).
 func MaxProfit(tr *Trace) int { return offline.MaxProfit(tr) }
-
-// MaxProfitParallel returns exactly MaxProfit(tr), computed over independent
-// segments on a worker pool (workers <= 0: GOMAXPROCS).
-func MaxProfitParallel(tr *Trace, workers int) int {
-	return offline.MaxProfitParallel(tr, workers)
-}
 
 // EarliestDeadlineSchedule serves tr greedily by earliest deadline on every
 // resource and returns the number of requests fulfilled — optimal for

@@ -282,9 +282,10 @@ func sweepLoad(stdout io.Writer) ([]runner.Record, printer) {
 				Name:     fmt.Sprintf("%s@%.2f", name, frac),
 				Strategy: name,
 				Source:   "uniform",
-				// The (seeded, deterministic) trace is regenerated per job
-				// from the spec, so concurrent runs — and worker processes —
-				// never share storage.
+				// The seeded trace is deterministic in the spec. The
+				// in-process pool builds it once for the strategies of one
+				// rate and runs them on it read-only; worker processes
+				// rebuild it per cell.
 				Params: registry.Params{
 					"n": iv(n), "d": iv(d), "rounds": iv(150),
 					"rate": fv(frac * float64(n)), "seed": iv(7),

@@ -15,8 +15,9 @@
 package commnet
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"reqsched/internal/core"
 )
@@ -148,15 +149,17 @@ func (nw *Network) Deliver(to [][]Msg) (received, rejected [][]Msg) {
 			continue
 		}
 		sorted := append([]Msg(nil), msgs...)
-		sort.SliceStable(sorted, func(a, b int) bool {
-			ma, mb := sorted[a], sorted[b]
+		slices.SortStableFunc(sorted, func(ma, mb Msg) int {
 			if ma.Priority != mb.Priority {
-				return ma.Priority
+				if ma.Priority {
+					return -1
+				}
+				return 1
 			}
-			if ma.Req.Deadline() != mb.Req.Deadline() {
-				return ma.Req.Deadline() > mb.Req.Deadline() // latest deadline first
+			if c := cmp.Compare(mb.Req.Deadline(), ma.Req.Deadline()); c != 0 {
+				return c // latest deadline first
 			}
-			return ma.Req.ID < mb.Req.ID
+			return cmp.Compare(ma.Req.ID, mb.Req.ID)
 		})
 		k := nw.cap
 		if k > len(sorted) {

@@ -335,10 +335,7 @@ func (w *Window) Reset() {
 // the adversary constructions rely on.
 func (w *Window) FreeSlotsFor(r *Request) []Assignment {
 	var out []Assignment
-	last := r.Deadline()
-	if max := w.t + w.depth - 1; last > max {
-		last = max
-	}
+	last := w.lastRoundFor(r)
 	for _, res := range r.Alts {
 		for round := w.t; round <= last; round++ {
 			if w.Free(res, round) {
@@ -347,6 +344,26 @@ func (w *Window) FreeSlotsFor(r *Request) []Assignment {
 		}
 	}
 	return out
+}
+
+// FirstFreeSlot returns the first slot of FreeSlotsFor(r) without building
+// the slice; ok is false when r has no free slot.
+func (w *Window) FirstFreeSlot(r *Request) (res, round int, ok bool) {
+	last := w.lastRoundFor(r)
+	for _, a := range r.Alts {
+		for rd := w.t; rd <= last; rd++ {
+			if w.Free(a, rd) {
+				return a, rd, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// lastRoundFor is the last round of the window r may be served in: its
+// deadline, clipped to the window.
+func (w *Window) lastRoundFor(r *Request) int {
+	return min(r.Deadline(), w.t+w.depth-1)
 }
 
 // advance slides the window one round forward. The engine calls this after

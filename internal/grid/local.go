@@ -12,8 +12,11 @@ import (
 
 // RatioJobs converts a manifest into in-process measurement jobs for
 // ratio.RunParallel — the unsharded, journal-free fast path of cmd/sweep.
-// Inputs are rebuilt deterministically from the specs, so the measurements
-// match the subprocess and resume paths bit for bit.
+// Each job's Input is its BuildSpec, so the pools build the input of
+// consecutive cells with the same spec once and solve its optimum once.
+// Generation from a spec is deterministic, so the measurements match the
+// subprocess and resume paths, which build every cell's input themselves,
+// bit for bit.
 func RatioJobs(jobs []Job) []ratio.Job {
 	out := make([]ratio.Job, len(jobs))
 	for i, job := range jobs {
@@ -28,6 +31,7 @@ func RatioJobs(jobs []Job) []ratio.Job {
 				return c
 			},
 			Strategy: func() core.Strategy { return newStrategy(job.Spec.Strategy) },
+			Input:    job.Spec.Build,
 		}
 	}
 	return out
@@ -39,8 +43,9 @@ func RatioJobs(jobs []Job) []ratio.Job {
 // cell is appended to the journal in manifest order, and cancellation drains
 // in-flight jobs and flushes their checkpoints before returning, so a SIGINT
 // loses no finished work. Measurements are bit-identical to
-// ratio.RunParallel over the same manifest: both paths run
-// ratio.MeasureConstruction on deterministically rebuilt inputs.
+// ratio.RunParallel over the same manifest: both paths run RatioJobs on the
+// ratio pools, which share one input among consecutive pending cells with
+// the same spec.
 func RunLocal(ctx context.Context, jobs []Job, done map[string]Record, j *Journal, workers int) (*Report, error) {
 	rep, pending, err := fold(jobs, done)
 	if err != nil {

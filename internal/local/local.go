@@ -8,7 +8,8 @@
 package local
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"reqsched/internal/commnet"
 	"reqsched/internal/core"
@@ -23,12 +24,11 @@ func accept(w *core.Window, res int, msgs []commnet.Msg) (rejected []commnet.Msg
 		return nil
 	}
 	byDeadline := append([]commnet.Msg(nil), msgs...)
-	sort.SliceStable(byDeadline, func(a, b int) bool {
-		da, db := byDeadline[a].Req.Deadline(), byDeadline[b].Req.Deadline()
-		if da != db {
-			return da < db
+	slices.SortStableFunc(byDeadline, func(a, b commnet.Msg) int {
+		if c := cmp.Compare(a.Req.Deadline(), b.Req.Deadline()); c != 0 {
+			return c
 		}
-		return byDeadline[a].Req.ID < byDeadline[b].Req.ID
+		return cmp.Compare(a.Req.ID, b.Req.ID)
 	})
 	for _, m := range byDeadline {
 		if round, ok := earliestFree(w, res, m.Req); ok {
@@ -158,6 +158,6 @@ func sendToAlternative(nw *commnet.Network, ctx *core.RoundContext, reqs []*core
 			failed = append(failed, m.Req)
 		}
 	}
-	sort.Slice(failed, func(a, b int) bool { return failed[a].ID < failed[b].ID })
+	slices.SortFunc(failed, func(a, b *core.Request) int { return cmp.Compare(a.ID, b.ID) })
 	return failed
 }

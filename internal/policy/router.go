@@ -10,26 +10,6 @@ import "reqsched/internal/core"
 // first, i.e. the queue order, which makes greedy the cleanest vehicle for
 // order-axis experiments such as SJF vs FCFS.
 
-// firstFreeSlot scans the request's admissible slots in the deterministic
-// preference order (alternatives as listed, rounds ascending, clipped to the
-// deadline) and returns the first free one. Equivalent to
-// ctx.W.FreeSlotsFor(r)[0] without allocating the slice.
-func firstFreeSlot(w *core.Window, r *core.Request) (res, round int, ok bool) {
-	t := w.Round()
-	last := r.Deadline()
-	if max := t + w.Depth() - 1; last > max {
-		last = max
-	}
-	for _, a := range r.Alts {
-		for rd := t; rd <= last; rd++ {
-			if w.Free(a, rd) {
-				return a, rd, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
 // GreedyRouter assigns every unassigned queued request — not just this
 // round's arrivals — to its first free slot each round, in queue order.
 // Unlike first_fit it retries: a request that found no slot competes again
@@ -54,7 +34,7 @@ func (GreedyRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
 		if ctx.W.Assigned(r) {
 			continue
 		}
-		if res, round, ok := firstFreeSlot(ctx.W, r); ok {
+		if res, round, ok := ctx.W.FirstFreeSlot(r); ok {
 			ctx.W.Assign(r, res, round)
 		}
 	}
@@ -81,7 +61,7 @@ func (FirstFitRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
 		if r.Arrive != ctx.T {
 			continue
 		}
-		if res, round, ok := firstFreeSlot(ctx.W, r); ok {
+		if res, round, ok := ctx.W.FirstFreeSlot(r); ok {
 			ctx.W.Assign(r, res, round)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"reqsched/internal/adversary"
@@ -23,12 +22,22 @@ type Job struct {
 	Build func() adversary.Construction
 	// Strategy creates the online strategy to measure.
 	Strategy func() core.Strategy
+	// Input is a comparable key naming the input Build creates; nil means
+	// the input is not shared. The pools build the input of a run of
+	// consecutive jobs with equal Input once, run every job's strategy on
+	// that one read-only trace and solve its optimum once, so such jobs must
+	// Build equal inputs. An adaptive source is stateful and depends on the
+	// strategy: only the job that built it uses it, and every other job of
+	// the run calls its own Build.
+	Input any
 }
 
 // JobPanic reports that one job of a parallel sweep panicked. The job's name
 // and index attribute the failure; Value is the recovered panic value and
-// Stack the goroutine stack captured at recovery. Sibling jobs are
-// unaffected: they run to completion before the error is surfaced.
+// Stack the goroutine stack captured at recovery. A panic in the shared
+// build or optimum of an input fails every job sharing it, each with its own
+// JobPanic carrying the stack of the job that ran the failing call. Sibling
+// jobs are unaffected: they run to completion before the error is surfaced.
 type JobPanic struct {
 	Name  string
 	Index int
@@ -49,9 +58,11 @@ func (e *JobPanic) name() string {
 
 // RunParallel executes the jobs on up to `workers` goroutines (GOMAXPROCS if
 // workers <= 0) and returns the measurements in job order. Each job runs a
-// full simulation plus a Hopcroft–Karp optimum, so the work units are coarse
-// and the speedup is near-linear; the Table 1 harness and the sweep tool use
-// it to regenerate the whole evaluation in one pass.
+// full simulation; the input and its Hopcroft–Karp optimum are built once
+// per run of consecutive jobs with equal Job.Input and once per job
+// otherwise. The work units are coarse and the speedup is near-linear; the
+// Table 1 harness and the sweep tool use it to regenerate the whole
+// evaluation in one pass.
 //
 // A job that panics does not take the sweep down anonymously: the panic is
 // recovered per job, siblings finish, and RunParallel re-panics with a
@@ -91,44 +102,30 @@ func RunParallelCtx(ctx context.Context, jobs []Job, workers int) ([]Measurement
 		return out, ctx.Err()
 	}
 	errs := make([]error, len(jobs), len(jobs)+1)
-	next := make(chan int)
+	tasks := make(chan task)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = runJob(jobs[i], i)
+			for t := range tasks {
+				out[t.i], errs[t.i] = t.run()
 			}
 		}()
 	}
+	var in inputs
 dispatch:
-	for i := range jobs {
+	for i, job := range jobs {
 		select {
-		case next <- i:
+		case tasks <- in.task(i, job):
 		case <-ctx.Done():
 			break dispatch
 		}
 	}
-	close(next)
+	close(tasks)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)
 	}
 	return out, errors.Join(errs...)
-}
-
-// runJob measures one job, converting a panic anywhere in the construction
-// build, the simulation, or the optimum into an attributed *JobPanic.
-func runJob(job Job, index int) (m Measurement, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &JobPanic{Name: job.Name, Index: index, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	m = MeasureConstruction(job.Build(), job.Strategy())
-	if job.Name != "" {
-		m.Input = job.Name
-	}
-	return m, nil
 }

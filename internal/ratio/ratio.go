@@ -58,6 +58,12 @@ func Measure(s core.Strategy, tr *core.Trace) Measurement {
 // invalid trace it returns the validation error, which names the first
 // offending request.
 func MeasureChecked(s core.Strategy, tr *core.Trace) (Measurement, error) {
+	return measureChecked(s, tr, offline.Optimum)
+}
+
+// measureChecked is MeasureChecked with the optimum supplied by the caller:
+// the worker pools pass one that is solved once per shared input.
+func measureChecked(s core.Strategy, tr *core.Trace, optimum func(*core.Trace) int) (Measurement, error) {
 	res, err := core.RunChecked(s, tr)
 	if err != nil {
 		return Measurement{}, err
@@ -67,7 +73,7 @@ func MeasureChecked(s core.Strategy, tr *core.Trace) (Measurement, error) {
 		Input:    "trace",
 		N:        tr.N,
 		D:        tr.D,
-		OPT:      offline.Optimum(tr),
+		OPT:      optimum(tr),
 		ALG:      res.Fulfilled,
 		Expired:  res.Expired,
 	}, nil
@@ -91,11 +97,21 @@ func MeasureAdaptive(s core.Strategy, src core.AdaptiveSource) Measurement {
 // MeasureConstruction runs s on an adversarial construction (fixed trace or
 // adaptive source) and attaches the construction's bound.
 func MeasureConstruction(c adversary.Construction, s core.Strategy) Measurement {
+	return measureConstruction(c, s, offline.Optimum)
+}
+
+// measureConstruction is MeasureConstruction with the optimum of a fixed
+// trace supplied by the caller. An adaptive source's trace depends on the
+// strategy, so its optimum is always solved here.
+func measureConstruction(c adversary.Construction, s core.Strategy, optimum func(*core.Trace) int) Measurement {
 	var m Measurement
 	if c.Source != nil {
 		m = MeasureAdaptive(s, c.Source)
 	} else {
-		m = Measure(s, c.Trace)
+		var err error
+		if m, err = measureChecked(s, c.Trace, optimum); err != nil {
+			panic(err)
+		}
 	}
 	m.Input = c.Name
 	m.Bound = c.Bound

@@ -39,10 +39,6 @@ func RunStreamCtx(ctx context.Context, next func(i int) (Job, bool), workers int
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type task struct {
-		i   int
-		job Job
-	}
 	type result struct {
 		i   int
 		m   Measurement
@@ -58,7 +54,7 @@ func RunStreamCtx(ctx context.Context, next func(i int) (Job, bool), workers int
 		go func() {
 			defer wg.Done()
 			for t := range tasks {
-				m, err := runJob(t.job, t.i)
+				m, err := t.run()
 				results <- result{t.i, m, err}
 			}
 		}()
@@ -69,6 +65,7 @@ func RunStreamCtx(ctx context.Context, next func(i int) (Job, bool), workers int
 	}()
 	go func() {
 		defer close(tasks)
+		var in inputs
 		for i := 0; ; i++ {
 			if ctx.Err() != nil {
 				return
@@ -86,7 +83,7 @@ func RunStreamCtx(ctx context.Context, next func(i int) (Job, bool), workers int
 			case <-ctx.Done():
 				return
 			}
-			tasks <- task{i, job}
+			tasks <- in.task(i, job)
 		}
 	}()
 

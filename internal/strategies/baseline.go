@@ -25,8 +25,8 @@ func (*FirstFit) Begin(n, d int) {}
 // Round implements core.Strategy.
 func (*FirstFit) Round(ctx *core.RoundContext) {
 	for _, r := range ctx.Arrivals {
-		if slots := ctx.W.FreeSlotsFor(r); len(slots) > 0 {
-			ctx.W.Assign(r, slots[0].Res, slots[0].Round)
+		if res, round, ok := ctx.W.FirstFreeSlot(r); ok {
+			ctx.W.Assign(r, res, round)
 		}
 	}
 }

@@ -211,14 +211,14 @@ func BenchmarkEngineAllocs(b *testing.B) {
 	tr := reqsched.Uniform(reqsched.WorkloadConfig{
 		N: 16, D: 6, Rounds: 300, Rate: 18, Seed: 11,
 	})
-	// A_local_eager exercises RoundContext.Unassigned every round, covering
-	// the context's scratch-buffer reuse alongside the global strategies.
+	// The local entries guard the commnet/local scratch reuse: the network's
+	// message buffer and the strategies' outbox, accept and Phase 3 buffers.
 	// Each compose(router=X) entry must match its fused strategy's allocs/op:
 	// the composite's queue, key and sorter buffers are all reused, so the
 	// decomposition may not add per-round allocations.
 	for _, name := range []string{
 		"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
-		"A_local_eager",
+		"A_local_fix", "A_local_eager", "A_local_eager_wide",
 		"compose,router=fix", "compose,router=current", "compose,router=fix_balance",
 		"compose,router=eager", "compose,router=balance",
 	} {

@@ -36,7 +36,10 @@ type Msg struct {
 }
 
 // Network tracks communication-round and message accounting for one
-// simulation run.
+// simulation run. It also owns the storage behind Deliver's results: one
+// flat message buffer, reused every communication round, and the
+// per-resource received/rejected headers that slice it. A Network belongs to
+// one run and is not safe for concurrent use.
 type Network struct {
 	n   int
 	cap int
@@ -50,6 +53,9 @@ type Network struct {
 	lossRng  *rand.Rand
 
 	transcript *Transcript
+
+	buf                []Msg
+	received, rejected [][]Msg
 }
 
 // InjectLoss makes every message independently vanish in transit with the
@@ -102,7 +108,7 @@ func New(n, cap int) *Network {
 	if n < 1 || cap < 1 {
 		panic("commnet: need n >= 1 and cap >= 1")
 	}
-	return &Network{n: n, cap: cap}
+	return &Network{n: n, cap: cap, received: make([][]Msg, n), rejected: make([][]Msg, n)}
 }
 
 // Cap returns the per-resource receive capacity.
@@ -121,35 +127,44 @@ func (nw *Network) Dropped() int { return nw.dropped }
 // lower request ID) and rejected[i] the dropped ones, whose senders are
 // notified per the model. A round with no messages at all costs nothing and
 // is not counted.
+//
+// Deliver copies the messages and leaves to unchanged. The returned slices
+// alias the network's own buffer: they are valid until the next Deliver,
+// which overwrites them, so to must not hold slices of an earlier result.
 func (nw *Network) Deliver(to [][]Msg) (received, rejected [][]Msg) {
 	if len(to) != nw.n {
 		panic("commnet: destination slice size mismatch")
 	}
-	received = make([][]Msg, nw.n)
-	rejected = make([][]Msg, nw.n)
 	total := 0
+	for _, msgs := range to {
+		total += len(msgs)
+	}
+	// Reserve room for every message up front: the per-resource results
+	// below are subslices of buf, which must not move while they are cut.
+	buf := slices.Grow(nw.buf[:0], total)
 	var cr CommRound
 	for i, msgs := range to {
-		total += len(msgs)
-		if nw.lossRate > 0 && len(msgs) > 0 {
-			kept := make([]Msg, 0, len(msgs))
+		start := len(buf)
+		if nw.lossRate > 0 {
 			for _, m := range msgs {
 				if nw.lossRng.Float64() < nw.lossRate {
 					nw.lost++
 					continue
 				}
-				kept = append(kept, m)
+				buf = append(buf, m)
 			}
-			msgs = kept
+		} else {
+			buf = append(buf, msgs...)
 		}
-		if len(msgs) > cr.Busiest {
-			cr.Busiest = len(msgs)
+		mine := buf[start:len(buf):len(buf)]
+		if len(mine) > cr.Busiest {
+			cr.Busiest = len(mine)
 		}
-		if len(msgs) == 0 {
+		if len(mine) == 0 {
+			nw.received[i], nw.rejected[i] = nil, nil
 			continue
 		}
-		sorted := append([]Msg(nil), msgs...)
-		slices.SortStableFunc(sorted, func(ma, mb Msg) int {
+		slices.SortStableFunc(mine, func(ma, mb Msg) int {
 			if ma.Priority != mb.Priority {
 				if ma.Priority {
 					return -1
@@ -161,16 +176,14 @@ func (nw *Network) Deliver(to [][]Msg) (received, rejected [][]Msg) {
 			}
 			return cmp.Compare(ma.Req.ID, mb.Req.ID)
 		})
-		k := nw.cap
-		if k > len(sorted) {
-			k = len(sorted)
-		}
-		received[i] = sorted[:k]
-		rejected[i] = sorted[k:]
-		nw.dropped += len(sorted) - k
+		k := min(nw.cap, len(mine))
+		nw.received[i] = mine[:k:k]
+		nw.rejected[i] = mine[k:]
+		nw.dropped += len(mine) - k
 		cr.Delivered += k
-		cr.Dropped += len(sorted) - k
+		cr.Dropped += len(mine) - k
 	}
+	nw.buf = buf
 	if total > 0 {
 		nw.rounds++
 		nw.messages += total
@@ -179,5 +192,5 @@ func (nw *Network) Deliver(to [][]Msg) (received, rejected [][]Msg) {
 			nw.transcript.Rounds = append(nw.transcript.Rounds, cr)
 		}
 	}
-	return received, rejected
+	return nw.received, nw.rejected
 }

@@ -27,6 +27,9 @@ import (
 // With the WideMailbox option the per-resource receive capacity is 2d-2
 // instead of d, which (per the paper's note) lets the last round of Phase 2
 // overlap the first of Phase 3, saving one communication round.
+//
+// An Eager value holds per-run scratch and must not be shared by concurrent
+// runs.
 type Eager struct {
 	transcripting
 	wide bool
@@ -65,9 +68,10 @@ func (s *Eager) CommTotals() (rounds, messages int) { return s.nw.Totals() }
 
 // Round implements core.Strategy.
 func (s *Eager) Round(ctx *core.RoundContext) {
+	sc := &s.sc
 	// Phase 1: all unscheduled requests try both alternatives.
-	failed := sendToAlternative(s.nw, ctx, ctx.Unassigned(), 0)
-	failed = sendToAlternative(s.nw, ctx, failed, 1)
+	failed := sc.sendToAlternative(s.nw, ctx, ctx.Unassigned(), 0)
+	failed = sc.sendToAlternative(s.nw, ctx, failed, 1)
 
 	// Phase 2: pull scheduled requests forward into idle current slots.
 	s.pullForward(ctx)
@@ -80,11 +84,11 @@ func (s *Eager) Round(ctx *core.RoundContext) {
 	// Round 3 of the phase: confirms of sub-phase 0 + sends of sub-phase 1.
 	// Requests whose exchange was acknowledged know they will be seated and
 	// do not re-send.
-	known := scheduledSet(ctx, failed)
+	known := sc.scheduledSet(ctx, failed)
 	for _, dl := range deals0 {
 		known[dl.Q.ID] = true
 	}
-	pending1 := s.confirmAndSend(ctx, deals0, subtract(failed, known))
+	pending1 := s.confirmAndSend(ctx, deals0, sc.subtract(failed, known))
 	deals1 := s.rivalPropose(ctx, pending1)
 	s.confirmAndSend(ctx, deals1, nil)
 }
@@ -93,8 +97,10 @@ func (s *Eager) Round(ctx *core.RoundContext) {
 // future-scheduled request to its other alternative) and the cancel+move of
 // the acknowledged requests.
 func (s *Eager) pullForward(ctx *core.RoundContext) {
-	to := make([][]commnet.Msg, ctx.N)
-	for _, a := range ctx.W.Snapshot() {
+	sc := &s.sc
+	to := sc.outbox(ctx.N)
+	sc.snap = ctx.W.AppendAssignments(sc.snap[:0])
+	for _, a := range sc.snap {
 		if a.Round <= ctx.T || len(a.Req.Alts) != 2 {
 			continue
 		}
@@ -103,8 +109,9 @@ func (s *Eager) pullForward(ctx *core.RoundContext) {
 	}
 	received, _ := s.nw.Deliver(to)
 
-	cancels := make([][]commnet.Msg, ctx.N)
-	var moves []*core.Request
+	// Deliver copied the pings, so the outbox is free for the cancels.
+	cancels := sc.outbox(ctx.N)
+	moved := false
 	for i := 0; i < ctx.N; i++ {
 		if !ctx.W.Free(i, ctx.T) || len(received[i]) == 0 {
 			continue
@@ -117,14 +124,14 @@ func (s *Eager) pullForward(ctx *core.RoundContext) {
 			continue
 		}
 		cancels[prevRes] = append(cancels[prevRes], commnet.Msg{Req: r})
-		moves = append(moves, r)
+		moved = true
 		// Reserve immediately so a later resource in this loop does not
 		// also serve r — each request pinged exactly one resource, so this
 		// cannot happen, but the reservation keeps the invariant local.
 		ctx.W.Unassign(r)
 		ctx.W.Assign(r, i, ctx.T)
 	}
-	if len(moves) > 0 {
+	if moved {
 		s.nw.Deliver(cancels)
 	}
 }
@@ -143,9 +150,10 @@ type rival struct {
 // one rival and nominates its current-slot occupant. Requests whose resource
 // has a free current slot are simply accepted on the spot (the resource
 // behaves as in Phase 1; this only arises when mailbox overflow dropped them
-// earlier).
+// earlier). The result is sc.deals.
 func (s *Eager) rivalSend(ctx *core.RoundContext, reqs []*core.Request, alt int) []rival {
-	to := make([][]commnet.Msg, ctx.N)
+	sc := &s.sc
+	to := sc.outbox(ctx.N)
 	for _, q := range reqs {
 		if ctx.W.Assigned(q) || alt >= len(q.Alts) || len(q.Alts) != 2 {
 			continue
@@ -154,7 +162,7 @@ func (s *Eager) rivalSend(ctx *core.RoundContext, reqs []*core.Request, alt int)
 		to[dest] = append(to[dest], commnet.Msg{Req: q})
 	}
 	received, _ := s.nw.Deliver(to)
-	var deals []rival
+	deals := sc.deals[:0]
 	for i := 0; i < ctx.N; i++ {
 		if len(received[i]) == 0 {
 			continue
@@ -172,6 +180,7 @@ func (s *Eager) rivalSend(ctx *core.RoundContext, reqs []*core.Request, alt int)
 		}
 		deals = append(deals, rival{Q: received[i][0].Req, Res: i, R: r})
 	}
+	sc.deals = deals
 	return deals
 }
 
@@ -180,23 +189,27 @@ func (s *Eager) rivalSend(ctx *core.RoundContext, reqs []*core.Request, alt int)
 // accepts as many proposals as it can schedule. Accepted occupants move
 // immediately (the paper: "an acknowledgment received by q implies that
 // request r is scheduled by S_r"); the corresponding deals are returned for
-// the confirm round.
+// the confirm round. The result is sc.acked.
 func (s *Eager) rivalPropose(ctx *core.RoundContext, deals []rival) []rival {
 	if len(deals) == 0 {
 		return nil
 	}
-	to := make([][]commnet.Msg, ctx.N)
-	byMsg := make(map[*core.Request]rival, len(deals))
+	sc := &s.sc
+	to := sc.outbox(ctx.N)
+	if sc.byMsg == nil {
+		sc.byMsg = make(map[*core.Request]rival, len(deals))
+	}
+	clear(sc.byMsg)
 	for _, dl := range deals {
 		sr := dl.R.Other(dl.Res)
 		to[sr] = append(to[sr], commnet.Msg{Req: dl.Q, Payload: dl.R})
-		byMsg[dl.Q] = dl
+		sc.byMsg[dl.Q] = dl
 	}
 	received, _ := s.nw.Deliver(to)
-	var acked []rival
+	acked := sc.acked[:0]
 	for j := 0; j < ctx.N; j++ {
 		for _, m := range received[j] {
-			dl := byMsg[m.Req]
+			dl := sc.byMsg[m.Req]
 			r := m.Payload
 			round, ok := earliestFree(ctx.W, j, r)
 			if !ok {
@@ -207,15 +220,18 @@ func (s *Eager) rivalPropose(ctx *core.RoundContext, deals []rival) []rival {
 			acked = append(acked, dl)
 		}
 	}
+	sc.acked = acked
 	return acked
 }
 
 // confirmAndSend implements the shared third communication round: acked
 // rivals send the high-priority exchange message to claim the vacated
 // current slot, while the still-unsuccessful requests of the next sub-phase
-// send their initial rival messages. Returns the next sub-phase's deals.
+// send their initial rival messages. Returns the next sub-phase's deals, in
+// sc.deals.
 func (s *Eager) confirmAndSend(ctx *core.RoundContext, acked []rival, nextReqs []*core.Request) []rival {
-	to := make([][]commnet.Msg, ctx.N)
+	sc := &s.sc
+	to := sc.outbox(ctx.N)
 	for _, dl := range acked {
 		to[dl.Res] = append(to[dl.Res], commnet.Msg{Req: dl.Q, Priority: true})
 	}
@@ -226,9 +242,9 @@ func (s *Eager) confirmAndSend(ctx *core.RoundContext, acked []rival, nextReqs [
 		to[q.Alts[1]] = append(to[q.Alts[1]], commnet.Msg{Req: q})
 	}
 	received, _ := s.nw.Deliver(to)
-	var deals []rival
+	deals := sc.deals[:0]
 	for i := 0; i < ctx.N; i++ {
-		rivals := received[i][:0:0]
+		rivals := sc.rivals[:0]
 		for _, m := range received[i] {
 			if m.Priority {
 				// Exchange: the occupant already moved in rivalPropose, so
@@ -240,6 +256,7 @@ func (s *Eager) confirmAndSend(ctx *core.RoundContext, acked []rival, nextReqs [
 				rivals = append(rivals, m)
 			}
 		}
+		sc.rivals = rivals
 		if len(rivals) == 0 {
 			continue
 		}
@@ -256,27 +273,34 @@ func (s *Eager) confirmAndSend(ctx *core.RoundContext, acked []rival, nextReqs [
 		}
 		deals = append(deals, rival{Q: rivals[0].Req, Res: i, R: r})
 	}
+	sc.deals = deals
 	return deals
 }
 
-// scheduledSet returns the subset of reqs that are now scheduled.
-func scheduledSet(ctx *core.RoundContext, reqs []*core.Request) map[int]bool {
-	set := make(map[int]bool)
+// scheduledSet returns the subset of reqs that are now scheduled, as the
+// reused sc.known set.
+func (sc *scratch) scheduledSet(ctx *core.RoundContext, reqs []*core.Request) map[int]bool {
+	if sc.known == nil {
+		sc.known = make(map[int]bool)
+	}
+	clear(sc.known)
 	for _, r := range reqs {
 		if ctx.W.Assigned(r) {
-			set[r.ID] = true
+			sc.known[r.ID] = true
 		}
 	}
-	return set
+	return sc.known
 }
 
-// subtract returns reqs minus the IDs in drop, preserving order.
-func subtract(reqs []*core.Request, drop map[int]bool) []*core.Request {
-	var out []*core.Request
+// subtract returns reqs minus the IDs in drop, preserving order, in the
+// reused sc.rest.
+func (sc *scratch) subtract(reqs []*core.Request, drop map[int]bool) []*core.Request {
+	out := sc.rest[:0]
 	for _, r := range reqs {
 		if !drop[r.ID] {
 			out = append(out, r)
 		}
 	}
+	sc.rest = out
 	return out
 }

@@ -18,12 +18,14 @@ import (
 // accept performs a resource's local admission: it matches a maximal number
 // of the received requests to its free slots, assigning earliest-deadline
 // requests to earliest slots (the locally optimal rule), and returns the
-// rejected remainder. The resource only ever inspects its own slots.
-func accept(w *core.Window, res int, msgs []commnet.Msg) (rejected []commnet.Msg) {
+// rejected remainder. The resource only ever inspects its own slots. The
+// returned slice is scratch, valid until the next accept.
+func (sc *scratch) accept(w *core.Window, res int, msgs []commnet.Msg) (rejected []commnet.Msg) {
+	rejected = sc.rejected[:0]
 	if len(msgs) == 0 {
-		return nil
+		return rejected
 	}
-	byDeadline := append([]commnet.Msg(nil), msgs...)
+	byDeadline := append(sc.sorted[:0], msgs...)
 	slices.SortStableFunc(byDeadline, func(a, b commnet.Msg) int {
 		if c := cmp.Compare(a.Req.Deadline(), b.Req.Deadline()); c != 0 {
 			return c
@@ -37,6 +39,7 @@ func accept(w *core.Window, res int, msgs []commnet.Msg) (rejected []commnet.Msg
 			rejected = append(rejected, m)
 		}
 	}
+	sc.sorted, sc.rejected = byDeadline, rejected
 	return rejected
 }
 
@@ -54,13 +57,54 @@ func earliestFree(w *core.Window, res int, r *core.Request) (int, bool) {
 	return 0, false
 }
 
+// scratch is the per-strategy buffer set the local strategies carry across
+// rounds, the counterpart of the global strategies' roundScratch: the
+// per-resource outbox, accept's sort and rejected buffers, the failures of
+// each Phase 1 alternative, the window snapshot, the Phase 3 deal lists and
+// request sets. Everything grows on first use and is reused afterwards, so a
+// steady-state round allocates nothing. The scratch and the run's Network
+// make a strategy value per-run state: one value must not be shared by
+// concurrent runs (the measurement harness builds one per job). Requests are
+// only read, so concurrent runs on one shared trace stay safe.
+type scratch struct {
+	to       [][]commnet.Msg
+	sorted   []commnet.Msg
+	rejected []commnet.Msg
+	// failed[alt] holds the failures of the Phase 1 round that sent to
+	// alternative alt; the alt-1 round reads failed[0] while filling
+	// failed[1].
+	failed [2][]*core.Request
+	snap   []core.Assignment
+	// deals holds the rival negotiations opened by rivalSend and
+	// confirmAndSend, acked those rivalPropose acknowledged; each call reads
+	// the other list.
+	deals, acked []rival
+	rivals       []commnet.Msg
+	rest         []*core.Request
+	byMsg        map[*core.Request]rival
+	known        map[int]bool
+}
+
+// outbox returns the per-resource outbox for n resources, emptied.
+func (sc *scratch) outbox(n int) [][]commnet.Msg {
+	if len(sc.to) != n {
+		sc.to = make([][]commnet.Msg, n)
+	}
+	for i := range sc.to {
+		sc.to[i] = sc.to[i][:0]
+	}
+	return sc.to
+}
+
 // transcripting is embedded by the local strategies to optionally record
-// per-communication-round summaries and inject message loss.
+// per-communication-round summaries and inject message loss. It also holds
+// the run's network and round scratch.
 type transcripting struct {
 	record   bool
 	lossRate float64
 	lossSeed int64
 	nw       *commnet.Network
+	sc       scratch
 }
 
 // InjectLoss makes every message of the next run vanish in transit with the
@@ -111,7 +155,8 @@ func (tp *transcripting) begin(n, cap int) *commnet.Network {
 // subset into its free slots; rejected and dropped requests try their second
 // alternative in a second communication round. Requests that fail both stay
 // unscheduled forever (no rescheduling, like A_fix). Exactly 2-competitive
-// (Theorem 3.7), two communication rounds per scheduling round.
+// (Theorem 3.7), two communication rounds per scheduling round. A Fix value
+// holds per-run scratch and must not be shared by concurrent runs.
 type Fix struct {
 	transcripting
 }
@@ -130,17 +175,18 @@ func (s *Fix) CommTotals() (rounds, messages int) { return s.nw.Totals() }
 
 // Round implements core.Strategy.
 func (s *Fix) Round(ctx *core.RoundContext) {
-	failed := sendToAlternative(s.nw, ctx, ctx.Arrivals, 0)
-	sendToAlternative(s.nw, ctx, failed, 1)
+	failed := s.sc.sendToAlternative(s.nw, ctx, ctx.Arrivals, 0)
+	s.sc.sendToAlternative(s.nw, ctx, failed, 1)
 }
 
 // sendToAlternative runs one communication round: each request is sent to
 // its alternative with the given index (requests without one fail
 // immediately); resources admit and accept; the failures are returned in ID
-// order.
-func sendToAlternative(nw *commnet.Network, ctx *core.RoundContext, reqs []*core.Request, alt int) []*core.Request {
-	to := make([][]commnet.Msg, ctx.N)
-	var failed []*core.Request
+// order. The result is sc.failed[alt], valid until the next round that
+// sends to alt.
+func (sc *scratch) sendToAlternative(nw *commnet.Network, ctx *core.RoundContext, reqs []*core.Request, alt int) []*core.Request {
+	to := sc.outbox(ctx.N)
+	failed := sc.failed[alt][:0]
 	for _, r := range reqs {
 		if alt >= len(r.Alts) {
 			failed = append(failed, r)
@@ -151,7 +197,7 @@ func sendToAlternative(nw *commnet.Network, ctx *core.RoundContext, reqs []*core
 	}
 	received, dropped := nw.Deliver(to)
 	for i := 0; i < ctx.N; i++ {
-		for _, m := range accept(ctx.W, i, received[i]) {
+		for _, m := range sc.accept(ctx.W, i, received[i]) {
 			failed = append(failed, m.Req)
 		}
 		for _, m := range dropped[i] {
@@ -159,5 +205,6 @@ func sendToAlternative(nw *commnet.Network, ctx *core.RoundContext, reqs []*core
 		}
 	}
 	slices.SortFunc(failed, func(a, b *core.Request) int { return cmp.Compare(a.ID, b.ID) })
+	sc.failed[alt] = failed
 	return failed
 }

@@ -339,7 +339,10 @@ func BenchmarkAblation(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var m reqsched.Measurement
 			for i := 0; i < b.N; i++ {
-				m = reqsched.Measure(tc.mk(), tc.trace())
+				var err error
+				if m, err = reqsched.MeasureChecked(tc.mk(), tc.trace()); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(m.Ratio(), "OPT/ALG")
 		})
@@ -365,12 +368,16 @@ func BenchmarkParallelHarness(b *testing.B) {
 	}()
 	b.Run("workers=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			reqsched.MeasureParallel(jobs, 1)
+			if _, err := reqsched.MeasureParallelChecked(jobs, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("workers=max", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			reqsched.MeasureParallel(jobs, 0)
+			if _, err := reqsched.MeasureParallelChecked(jobs, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

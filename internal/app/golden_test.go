@@ -122,6 +122,78 @@ func TestSchedsimGolden(t *testing.T) {
 	requireGolden(t, "schedsim_seeds.txt", run(t, SchedsimMain, "-seeds", "3", "-strategy", "A_balance"))
 }
 
+// suitePath is the checked-in schedsim -config suite.
+var suitePath = filepath.Join("testdata", "suite.json")
+
+func TestSchedsimConfigGolden(t *testing.T) {
+	for _, w := range workerCounts {
+		requireGolden(t, "schedsim_config.txt", run(t, SchedsimMain, "-config", suitePath, "-workers", w), "-workers", w)
+	}
+}
+
+// TestSchedsimConfigMatchesFlags pins -config to the -seeds run its fields
+// spell: the checked-in suite prints the header of the equivalent flag run
+// followed by each listed strategy's line, and a suite without strategies
+// prints what the flags print for every listed strategy.
+func TestSchedsimConfigMatchesFlags(t *testing.T) {
+	flags := []string{"-workload", "zipf", "-n", "6", "-d", "3", "-rounds", "40", "-rate", "7", "-zipf", "1.5", "-seeds", "4"}
+	var want strings.Builder
+	for i, s := range []string{"A_balance", "A_fix", "EDF", "A_local_eager", "compose,router=greedy,order=sjf"} {
+		out := run(t, SchedsimMain, append(flags, "-strategy", s)...)
+		header, line, ok := strings.Cut(out, "\n\n")
+		if !ok {
+			t.Fatalf("-strategy %s: no header in %q", s, out)
+		}
+		if i == 0 {
+			want.WriteString(header + "\n\n")
+		}
+		want.WriteString(line)
+	}
+	if got := run(t, SchedsimMain, "-config", suitePath); got != want.String() {
+		t.Errorf("-config output differs from the flag runs:\n got %q\nwant %q", got, want.String())
+	}
+
+	path := filepath.Join(t.TempDir(), "all.json")
+	if err := os.WriteFile(path, []byte(`{"workload": {"kind": "uniform", "n": 4, "d": 2, "rounds": 10}, "seeds": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := run(t, SchedsimMain, "-config", path)
+	if want := run(t, SchedsimMain, "-workload", "uniform", "-n", "4", "-d", "2", "-rounds", "10", "-seeds", "2"); got != want {
+		t.Errorf("suite without strategies differs from the flag run:\n got %q\nwant %q", got, want)
+	}
+	if n := strings.Count(got, " over 2 seeds: "); n < 10 {
+		t.Errorf("suite without strategies ran %d strategies, want every listed one:\n%s", n, got)
+	}
+}
+
+// TestSchedsimConfigRejectsBadConfigs feeds -config broken suites: each must
+// exit non-zero with a one-line error and print nothing on stdout.
+func TestSchedsimConfigRejectsBadConfigs(t *testing.T) {
+	cases := map[string]string{
+		"bad json":         `{bad json`,
+		"unknown kind":     `{"workload": {"kind": "nope", "n": 2, "d": 2, "rounds": 5}}`,
+		"n 0":              `{"workload": {"kind": "uniform", "n": 0, "d": 2, "rounds": 5}}`,
+		"unknown strategy": `{"workload": {"kind": "uniform", "n": 2, "d": 2, "rounds": 5}, "strategies": ["bogus"]}`,
+		"c > n":            `{"workload": {"kind": "cchoice", "n": 2, "d": 2, "rounds": 5, "c": 5}}`,
+		"unknown field":    `{"workload": {"kind": "uniform", "n": 2, "d": 2, "rounds": 5}, "typo": 1}`,
+	}
+	dir := t.TempDir()
+	for name, js := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")
+		if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		code := SchedsimMain([]string{"-config", path}, &out, &errb)
+		if code == 0 || out.Len() != 0 {
+			t.Errorf("%s: exit %d, stdout %q; want a non-zero exit and no output", name, code, out.String())
+		}
+		if msg := errb.String(); strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+			t.Errorf("%s: stderr %q is not one line", name, msg)
+		}
+	}
+}
+
 func TestPaperGolden(t *testing.T) {
 	for _, w := range workerCounts {
 		requireGolden(t, "paper_quick.txt", run(t, PaperMain, "-quick", "-workers", w), "-workers", w)

@@ -144,7 +144,10 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 		}
 
 		// Closure-path reference: the direct ratio pool over the same jobs.
-		want := ratio.RunParallel(grid.RatioJobs(jobs), 2)
+		want, err := ratio.RunParallelChecked(grid.RatioJobs(jobs), 2)
+		if err != nil {
+			t.Fatalf("mode %s reference: %v", mode, err)
+		}
 
 		// Engine 1: plain runner path.
 		plain, err := runner.Run(ctx, jobs, runner.Options{Workers: 2})

@@ -1,6 +1,8 @@
 package app
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -8,122 +10,147 @@ import (
 	"sort"
 
 	"reqsched"
-	"reqsched/internal/experiment"
+	"reqsched/internal/grid"
 	"reqsched/internal/registry"
 	"reqsched/internal/stats"
 )
 
-// workloadParams assembles the parameter set a registered workload declares
-// from the frontends' flag values: one entry per schema parameter, looked
-// up by registry name. Components added to the registry become runnable
-// here without touching this file, as long as their parameters reuse
-// declared names.
-func workloadParams(c registry.Component, vals map[string]registry.Value) (registry.Params, error) {
-	p := make(registry.Params, len(c.Params))
-	for _, sp := range c.Params {
-		v, ok := vals[sp.Name]
-		if !ok {
-			return nil, fmt.Errorf("workload %q parameter %q has no flag; set it via -describe'd defaults", c.Name, sp.Name)
-		}
-		p[sp.Name] = v
+// workloadFlags are the generator flags schedsim and tracegen share. Each
+// sets the registry parameter its grid.BuildSpec field carries, so a flag
+// set and a suite file's "workload" object are two spellings of one spec.
+type workloadFlags struct {
+	kind                                                        *string
+	n, d, rounds, items, on, off, c, maxw, trapEvery, hold, cap *int
+	rate, s, burst, load                                        *float64
+	seed                                                        *int64
+}
+
+func addWorkloadFlags(fs *flag.FlagSet, kindUsage string, rounds int) *workloadFlags {
+	return &workloadFlags{
+		kind:      fs.String("workload", "uniform", kindUsage),
+		n:         nFlag(fs),
+		d:         dFlag(fs),
+		rounds:    fs.Int("rounds", rounds, roundsUsage),
+		rate:      fs.Float64("rate", 0, "mean arrivals/round (default n)"),
+		seed:      seedFlag(fs),
+		s:         fs.Float64("zipf", 1.4, "zipf exponent (zipf/video)"),
+		items:     fs.Int("items", 100, "catalog size (video)"),
+		on:        fs.Int("on", 5, "burst length (bursty)"),
+		off:       fs.Int("off", 10, "quiet length (bursty)"),
+		burst:     fs.Float64("burst", 0, "burst arrivals/round (default 3n)"),
+		c:         fs.Int("c", 3, "alternatives per request (cchoice)"),
+		maxw:      fs.Int("maxw", 8, "maximum request weight (weighted)"),
+		trapEvery: fs.Int("trap-every", 20, "rounds between embedded traps (trapmix)"),
+		hold:      fs.Int("hold", 0, "service model: rounds a served request occupies its resource (0 = 1, unit)"),
+		cap:       fs.Int("cap", 0, "service model: concurrent services per resource (0 = 1, unit)"),
+		load:      fs.Float64("load", 0.9, "target utilization of the model's capacity (reusable, when -rate 0)"),
 	}
-	return p, nil
+}
+
+// spec returns the flag values as a workload spec.
+func (w *workloadFlags) spec() grid.BuildSpec {
+	return grid.BuildSpec{
+		Kind: *w.kind, N: *w.n, D: *w.d, Rounds: *w.rounds, Rate: *w.rate, Seed: *w.seed,
+		S: *w.s, Items: *w.items, On: *w.on, Off: *w.off, Burst: *w.burst, C: *w.c,
+		MaxW: *w.maxw, TrapEvery: *w.trapEvery, Hold: *w.hold, Cap: *w.cap, Load: *w.load,
+	}
+}
+
+// workloadParams resolves a workload spec into the parameter set its
+// registered component declares, after the frontends' historical
+// defaulting: rate 0 means rate = n — except for the reusable family, where
+// rate 0 asks the generator to derive the rate from load and the service
+// model — and burst 0 means 3n. The parameters are not yet validated.
+func workloadParams(b grid.BuildSpec) (registry.Component, registry.Params, error) {
+	comp, ok := registry.Get(registry.KindWorkload, b.Kind)
+	if !ok {
+		return comp, nil, fmt.Errorf("unknown workload %q", b.Kind)
+	}
+	if b.Rate == 0 && b.Kind != "reusable" {
+		b.Rate = float64(b.N)
+	}
+	if b.Burst == 0 {
+		b.Burst = 3 * float64(b.N)
+	}
+	p, err := b.Params()
+	return comp, p, err
+}
+
+// suite is the file schedsim -config runs: a workload in the sweep wire
+// format (registry parameter names), the strategies to compare and the seed
+// count. Fields the file omits keep their flag values.
+type suite struct {
+	Workload   grid.BuildSpec `json:"workload"`
+	Strategies []string       `json:"strategies"`
+	Seeds      int            `json:"seeds"`
+}
+
+// loadSuite decodes a suite file over base, rejecting unknown fields.
+func loadSuite(path string, base suite) (suite, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return base, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&base); err != nil {
+		return base, fmt.Errorf("schedsim: %s: %w", path, err)
+	}
+	if base.Seeds < 1 {
+		return base, fmt.Errorf("schedsim: %s: seeds %d, need >= 1", path, base.Seeds)
+	}
+	return base, nil
 }
 
 // SchedsimMain is the main program of cmd/schedsim: it runs one or all
 // strategies over a synthetic workload and reports throughput, loss,
 // latency, per-resource balance, communication cost, and the empirical
 // competitive ratio against the offline optimum. Workloads and strategies
-// resolve by registry name (-list shows the catalog).
+// resolve by registry name (-list shows the catalog). With -seeds k > 1, or
+// with a -config suite file, it prints each strategy's ratio summary over
+// seeds 0..k-1 instead.
 //
 // Usage examples:
 //
 //	schedsim -workload uniform -n 8 -d 4 -rounds 200 -rate 9
 //	schedsim -workload video -items 100 -zipf 1.2 -strategy A_balance
 //	schedsim -workload bursty -on 5 -off 10 -burst 25 -all
+//	schedsim -config suite.json
 func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("schedsim", stderr)
+	wf := addWorkloadFlags(fs, "workload generator by registry name (see -list)", 200)
 	var (
-		wl        = fs.String("workload", "uniform", "workload generator by registry name (see -list)")
-		n         = nFlag(fs)
-		d         = dFlag(fs)
-		rounds    = fs.Int("rounds", 200, roundsUsage)
-		rate      = fs.Float64("rate", 0, "mean arrivals/round (default n)")
-		seed      = seedFlag(fs)
-		zipfS     = fs.Float64("zipf", 1.4, "zipf exponent (zipf/video)")
-		items     = fs.Int("items", 100, "catalog size (video)")
-		on        = fs.Int("on", 5, "burst length (bursty)")
-		off       = fs.Int("off", 10, "quiet length (bursty)")
-		burst     = fs.Float64("burst", 0, "burst arrivals/round (default 3n)")
-		choices   = fs.Int("c", 3, "alternatives per request (cchoice)")
-		maxW      = fs.Int("maxw", 8, "maximum request weight (weighted)")
-		trapEvery = fs.Int("trap-every", 20, "rounds between embedded traps (trapmix)")
-		hold      = fs.Int("hold", 0, "service model: rounds a served request occupies its resource (0 = 1, unit)")
-		capc      = fs.Int("cap", 0, "service model: concurrent services per resource (0 = 1, unit)")
-		load      = fs.Float64("load", 0.9, "target utilization of the model's capacity (reusable, when -rate 0)")
-		strategy  = fs.String("strategy", "", "run a single strategy by name")
-		all       = fs.Bool("all", false, "run every strategy (default when -strategy empty)")
-		series    = fs.Bool("series", false, "emit per-round CSV for the selected strategy instead of the summary")
-		latHist   = fs.Bool("latency-hist", false, "print each strategy's service-latency histogram (with clamp counts) after the summary table")
-		seeds     = fs.Int("seeds", 1, "aggregate over this many seeds (mean±std instead of one run)")
-		config    = fs.String("config", "", "run a declarative JSON experiment suite instead of flags")
-		workers   = workersFlag(fs)
+		strategy = fs.String("strategy", "", "run a single strategy by name")
+		all      = fs.Bool("all", false, "run every strategy (default when -strategy empty)")
+		series   = fs.Bool("series", false, "emit per-round CSV for the selected strategy instead of the summary")
+		latHist  = fs.Bool("latency-hist", false, "print each strategy's service-latency histogram (with clamp counts) after the summary table")
+		seeds    = fs.Int("seeds", 1, "aggregate over this many seeds (mean±std instead of one run)")
+		config   = fs.String("config", "", `run a JSON suite {"workload": {"kind": ..., registry parameters}, "strategies": [...], "seeds": k} as the -seeds run it spells; omitted fields keep their flag values`)
+		workers  = workersFlag(fs)
 	)
 	list, describe := listingFlags(fs)
 	if ok, code := parse(fs, args); !ok {
 		return code
 	}
-	if handled, code := listing(*list, *describe, resolveWorkers(*workers), stdout, stderr); handled {
+	w := resolveWorkers(*workers)
+	if handled, code := listing(*list, *describe, w, stdout, stderr); handled {
 		return code
 	}
 
+	run := suite{Workload: wf.spec(), Seeds: *seeds}
+	if *strategy != "" && !*all {
+		run.Strategies = []string{*strategy}
+	}
 	if *config != "" {
-		f, err := os.Open(*config)
-		if err != nil {
+		var err error
+		if run, err = loadSuite(*config, run); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer f.Close()
-		suite, err := experiment.Load(f)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if *workers != 0 { // unset defers to the suite file's own setting
-			suite.Workers = resolveWorkers(*workers)
-		}
-		rep, err := suite.Run()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprint(stdout, rep.Format())
-		return 0
 	}
-	// Historical defaulting: -rate 0 means "rate = n" — except for the
-	// reusable family, where rate 0 asks the generator to derive the rate
-	// from -load and the service model.
-	if *rate == 0 && *wl != "reusable" {
-		*rate = float64(*n)
-	}
-	if *burst == 0 {
-		*burst = 3 * float64(*n)
-	}
-
-	comp, ok := registry.Get(registry.KindWorkload, *wl)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
-		return 2
-	}
-	vals := map[string]registry.Value{
-		"n": iv(*n), "d": iv(*d), "rounds": iv(*rounds),
-		"rate": fv(*rate), "seed": registry.IntVal(*seed),
-		"s": fv(*zipfS), "items": iv(*items),
-		"on": iv(*on), "off": iv(*off), "burst": fv(*burst),
-		"c": iv(*choices), "maxw": iv(*maxW), "trap_every": iv(*trapEvery),
-		"hold": iv(*hold), "cap": iv(*capc), "load": fv(*load),
-	}
-	params, err := workloadParams(comp, vals)
+	wl := run.Workload.Kind
+	comp, params, err := workloadParams(run.Workload)
 	if err == nil {
 		err = comp.Validate(params)
 	}
@@ -135,22 +162,29 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 	gen := func(seed int64) *reqsched.Trace {
 		p := params.Clone()
 		p["seed"] = registry.IntVal(seed)
-		tr, gerr := registry.GenerateWorkload(*wl, p)
+		tr, gerr := registry.GenerateWorkload(wl, p)
 		if gerr != nil {
 			panic(gerr)
 		}
 		return tr
 	}
-	tr := gen(*seed)
+	names := run.Strategies
+	if len(names) == 0 {
+		names = listedNames()
+	}
 
-	if *seeds > 1 {
-		fmt.Fprintf(stdout, "workload %s aggregated over %d seeds\n\n", *wl, *seeds)
-		names := strategyNames(*strategy, *all)
+	if run.Seeds > 1 || *config != "" {
 		for _, name := range names {
-			name := name
+			if reqsched.StrategyByName(name) == nil {
+				strategySpecError(stderr, name)
+				return 2
+			}
+		}
+		fmt.Fprintf(stdout, "workload %s aggregated over %d seeds\n\n", wl, run.Seeds)
+		for _, name := range names {
 			sum, err := reqsched.SummarizeParallel(
 				func() reqsched.Strategy { return reqsched.StrategyByName(name) },
-				gen, *seeds, resolveWorkers(*workers))
+				gen, run.Seeds, w)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
@@ -159,6 +193,7 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	tr := gen(*wf.seed)
 
 	if *series {
 		name := *strategy
@@ -179,12 +214,10 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	fmt.Fprintf(stdout, "workload %s: %s\n", *wl, reqsched.SummarizeTrace(tr))
-	opt, _ := reqsched.Solve(tr, reqsched.Cardinality, resolveWorkers(*workers))
+	fmt.Fprintf(stdout, "workload %s: %s\n", wl, reqsched.SummarizeTrace(tr))
+	opt, _ := reqsched.Solve(tr, reqsched.Cardinality, w)
 	fmt.Fprintf(stdout, "offline optimum: %d of %d requests (%d segments)\n\n",
 		opt, tr.NumRequests(), reqsched.TraceSegmentCount(tr))
-
-	names := strategyNames(*strategy, *all)
 
 	fmt.Fprintf(stdout, "%-20s %9s %7s %9s %9s %9s %10s %9s\n",
 		"strategy", "served", "lost", "ratio", "latency", "balance", "commRound", "messages")
@@ -223,11 +256,8 @@ func printLatencyHist(w io.Writer, name string, tr *reqsched.Trace, res *reqsche
 	fmt.Fprintln(w)
 }
 
-// strategyNames resolves the -strategy/-all flags into a sorted name list.
-func strategyNames(strategy string, all bool) []string {
-	if strategy != "" && !all {
-		return []string{strategy}
-	}
+// listedNames returns the names of every listed strategy, sorted.
+func listedNames() []string {
 	var names []string
 	for name := range reqsched.Strategies() {
 		names = append(names, name)

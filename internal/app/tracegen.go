@@ -96,25 +96,9 @@ func tracegenShow(args []string, stdout, stderr io.Writer) int {
 
 func tracegenGen(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("tracegen gen", stderr)
+	wf := addWorkloadFlags(fs, "workload generator by registry name (see tracegen -list)", 100)
 	var (
-		wl     = fs.String("workload", "uniform", "workload generator by registry name (see tracegen -list)")
 		adv    = fs.String("adversary", "", "adversary construction by registry name (overrides -workload)")
-		n      = nFlag(fs)
-		d      = dFlag(fs)
-		rounds = fs.Int("rounds", 100, roundsUsage)
-		rate   = fs.Float64("rate", 0, "mean arrivals per round (default n)")
-		seed   = seedFlag(fs)
-		zipfS  = fs.Float64("zipf", 1.4, "zipf exponent (zipf/video)")
-		items  = fs.Int("items", 100, "catalog size (video)")
-		on     = fs.Int("on", 5, "burst length (bursty)")
-		off    = fs.Int("off", 10, "quiet length (bursty)")
-		burst  = fs.Float64("burst", 0, "burst arrivals/round (default 3n)")
-		c      = fs.Int("c", 3, "alternatives per request (cchoice)")
-		maxW   = fs.Int("maxw", 8, "maximum request weight (weighted)")
-		trapE  = fs.Int("trap-every", 20, "rounds between embedded traps (trapmix)")
-		hold   = fs.Int("hold", 0, "service model: rounds a served request occupies its resource (0 = 1, unit)")
-		capc   = fs.Int("cap", 0, "service model: concurrent services per resource (0 = 1, unit)")
-		load   = fs.Float64("load", 0.9, "target utilization of the model's capacity (reusable, when -rate 0)")
 		phases = fs.Int("phases", 40, phasesUsage)
 		extra  = fs.String("params", "", "extra component parameters as name=value,... (see -describe)")
 		out    = fs.String("out", "", "output file (default stdout)")
@@ -123,16 +107,6 @@ func tracegenGen(args []string, stdout, stderr io.Writer) int {
 	if ok, code := parse(fs, args); !ok {
 		return code
 	}
-	// Historical defaulting: -rate 0 means "rate = n" — except for the
-	// reusable family, where rate 0 asks the generator to derive the rate
-	// from -load and the service model.
-	if *rate == 0 && *wl != "reusable" {
-		*rate = float64(*n)
-	}
-	if *burst == 0 {
-		*burst = 3 * float64(*n)
-	}
-
 	var tr *reqsched.Trace
 	if *adv != "" {
 		comp, ok := registry.Get(registry.KindAdversary, *adv)
@@ -144,7 +118,7 @@ func tracegenGen(args []string, stdout, stderr io.Writer) int {
 		for _, sp := range comp.Params {
 			switch sp.Name {
 			case "d":
-				p["d"] = iv(*d)
+				p["d"] = iv(*wf.d)
 			case "phases":
 				p["phases"] = iv(*phases)
 			}
@@ -168,20 +142,7 @@ func tracegenGen(args []string, stdout, stderr io.Writer) int {
 		}
 		tr = c.Trace
 	} else {
-		comp, ok := registry.Get(registry.KindWorkload, *wl)
-		if !ok {
-			fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
-			return 2
-		}
-		vals := map[string]registry.Value{
-			"n": iv(*n), "d": iv(*d), "rounds": iv(*rounds),
-			"rate": fv(*rate), "seed": registry.IntVal(*seed),
-			"s": fv(*zipfS), "items": iv(*items),
-			"on": iv(*on), "off": iv(*off), "burst": fv(*burst),
-			"c": iv(*c), "maxw": iv(*maxW), "trap_every": iv(*trapE),
-			"hold": iv(*hold), "cap": iv(*capc), "load": fv(*load),
-		}
-		p, err := workloadParams(comp, vals)
+		comp, p, err := workloadParams(wf.spec())
 		if err != nil {
 			fmt.Fprintln(stderr, "tracegen:", err)
 			return 2
@@ -194,7 +155,7 @@ func tracegenGen(args []string, stdout, stderr io.Writer) int {
 		for k, v := range over {
 			p[k] = v
 		}
-		tr, err = registry.GenerateWorkload(*wl, p)
+		tr, err = registry.GenerateWorkload(comp.Name, p)
 		if err != nil {
 			fmt.Fprintln(stderr, "tracegen:", err)
 			return 2

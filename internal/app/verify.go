@@ -88,7 +88,10 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	for i, r := range rows {
 		jobs[i] = reqsched.MeasureJob{Name: r.name, Build: r.build, Strategy: r.strategy}
 	}
-	results := reqsched.MeasureParallel(jobs, w)
+	results, err := reqsched.MeasureParallelChecked(jobs, w)
+	if err != nil {
+		add("bounds: measurement pool", false, "%v", err)
+	}
 	for i, m := range results {
 		r := rows[i]
 		got := m.Ratio()
@@ -278,7 +281,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	if *tools {
 		cmds := [][]string{
 			{"go", "vet", "./..."},
-			{"go", "test", "-race", "./internal/offline", "./internal/ratio", "./internal/experiment", "./internal/grid", "./internal/serve", "./internal/policy", "./internal/matching", "./internal/core", "./internal/trace"},
+			{"go", "test", "-race", "./internal/offline", "./internal/ratio", "./internal/runner", "./internal/grid", "./internal/serve", "./internal/policy", "./internal/matching", "./internal/core", "./internal/trace"},
 		}
 		for _, args := range cmds {
 			cmd := exec.Command(args[0], args[1:]...)
@@ -385,7 +388,11 @@ func gridChecks(add func(name string, ok bool, format string, args ...interface{
 	}
 	add("grid: deterministic manifest IDs", det, "%d cells", len(jobs))
 
-	want := reqsched.MeasureParallel(grid.RatioJobs(jobs), workers)
+	want, err := reqsched.MeasureParallelChecked(grid.RatioJobs(jobs), workers)
+	if err != nil {
+		add("grid: reference measurements", false, "%v", err)
+		return
+	}
 	same := func(ms []reqsched.Measurement) bool {
 		if len(ms) != len(want) {
 			return false
@@ -488,7 +495,11 @@ func gridTCPChecks(add func(name string, ok bool, format string, args ...interfa
 		add("grid: TCP manifest", false, "%v", err)
 		return
 	}
-	want := reqsched.MeasureParallel(grid.RatioJobs(jobs), workers)
+	want, err := reqsched.MeasureParallelChecked(grid.RatioJobs(jobs), workers)
+	if err != nil {
+		add("grid: TCP reference measurements", false, "%v", err)
+		return
+	}
 	same := func(ms []reqsched.Measurement) bool {
 		if len(ms) != len(want) {
 			return false

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"reqsched"
@@ -154,15 +155,19 @@ func TestUnitModelRunAddsNoAllocs(t *testing.T) {
 	for _, name := range []string{"A_balance", "A_fix", "compose,router=greedy", "first_fit"} {
 		s := reqsched.StrategyByName(name)
 		// Warm so one-time buffer growth is off the books. Steady-state
-		// counts still jitter ±1/run with map rehash timing (randomized
-		// iteration order), so allow exactly that — a real model-path leak
-		// would cost at least one allocation per round (>100 here), and the
-		// occupancy grid at window construction would cost dozens per run.
+		// counts still jitter upward with map rehash timing (randomized
+		// iteration order), so compare the minimum of several interleaved
+		// samples on each side and allow one allocation — a real model-path
+		// leak would cost at least one allocation per round (>100 here), and
+		// the occupancy grid at window construction would cost dozens per run.
 		for i := 0; i < 5; i++ {
 			reqsched.Run(s, tr)
 		}
-		want := testing.AllocsPerRun(10, func() { reqsched.Run(s, tr) })
-		got := testing.AllocsPerRun(10, func() { reqsched.Run(s, cp) })
+		want, got := math.Inf(1), math.Inf(1)
+		for i := 0; i < 5; i++ {
+			want = math.Min(want, testing.AllocsPerRun(10, func() { reqsched.Run(s, tr) }))
+			got = math.Min(got, testing.AllocsPerRun(10, func() { reqsched.Run(s, cp) }))
+		}
 		if got > want+1 {
 			t.Errorf("%s: explicit unit model allocates %.1f/run, zero model %.1f/run", name, got, want)
 		}

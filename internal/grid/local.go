@@ -10,10 +10,10 @@ import (
 	"reqsched/internal/ratio"
 )
 
-// RatioJobs converts a manifest into in-process measurement jobs for
-// ratio.RunParallel — the unsharded, journal-free fast path of cmd/sweep.
-// Each job's Input is its BuildSpec, so the pools build the input of
-// consecutive cells with the same spec once and solve its optimum once.
+// RatioJobs converts a manifest into in-process measurement jobs for the
+// ratio worker pool. Each job's Input is its BuildSpec, so the pool builds
+// the input of consecutive cells with the same spec once and solves its
+// optimum once.
 // Generation from a spec is deterministic, so the measurements match the
 // subprocess and resume paths, which build every cell's input themselves,
 // bit for bit.
@@ -38,14 +38,13 @@ func RatioJobs(jobs []Job) []ratio.Job {
 }
 
 // RunLocal executes the manifest in-process on the ratio worker pool — the
-// -shard 0 path — with the same journal/resume semantics as the subprocess
-// supervisor: journaled cells are folded without re-running, every completed
-// cell is appended to the journal in manifest order, and cancellation drains
-// in-flight jobs and flushes their checkpoints before returning, so a SIGINT
-// loses no finished work. Measurements are bit-identical to
-// ratio.RunParallel over the same manifest: both paths run RatioJobs on the
-// ratio pools, which share one input among consecutive pending cells with
-// the same spec.
+// -shard 0 path of every in-process sweep — with the same journal/resume
+// semantics as the subprocess supervisor: journaled cells are folded without
+// re-running, every completed cell is appended to the journal in manifest
+// order (a nil journal appends nothing), and cancellation drains in-flight
+// jobs and flushes their checkpoints before returning, so a SIGINT loses no
+// finished work. It runs RatioJobs, so consecutive pending cells with the
+// same spec share one input and one optimum.
 func RunLocal(ctx context.Context, jobs []Job, done map[string]Record, j *Journal, workers int) (*Report, error) {
 	rep, pending, err := fold(jobs, done)
 	if err != nil {

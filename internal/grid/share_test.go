@@ -1,6 +1,7 @@
 package grid_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -40,9 +41,10 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// requireSharingInvisible runs the manifest on both pools with inputs shared
-// and on RunParallel with sharing off (every Input nil), and requires equal
-// measurements and equal failures from all three.
+// requireSharingInvisible runs the manifest on the pool with inputs shared
+// and with sharing off (every Input nil), and requires equal measurements and
+// equal failures from both. A manifest without failures must also come out
+// the same through RunLocal, the in-process path of the runner.
 func requireSharingInvisible(t *testing.T, jobs []grid.Job) {
 	t.Helper()
 	unshared := grid.RatioJobs(jobs)
@@ -51,21 +53,16 @@ func requireSharingInvisible(t *testing.T, jobs []grid.Job) {
 	}
 	want, wantErr := ratio.RunParallelChecked(unshared, 3)
 
-	shared := grid.RatioJobs(jobs)
-	got, gotErr := ratio.RunParallelChecked(shared, 3)
+	got, gotErr := ratio.RunParallelChecked(grid.RatioJobs(jobs), 3)
 	if !reflect.DeepEqual(got, want) || errString(gotErr) != errString(wantErr) {
-		t.Fatalf("RunParallel shared:\n got %+v (err %v)\nwant %+v (err %v)", got, gotErr, want, wantErr)
+		t.Fatalf("RunParallelChecked shared:\n got %+v (err %v)\nwant %+v (err %v)", got, gotErr, want, wantErr)
 	}
-
-	streamed := make([]ratio.Measurement, len(jobs))
-	streamErr := ratio.RunStreamChecked(func(i int) (ratio.Job, bool) {
-		if i >= len(shared) {
-			return ratio.Job{}, false
-		}
-		return shared[i], true
-	}, 3, func(i int, m ratio.Measurement) { streamed[i] = m })
-	if !reflect.DeepEqual(streamed, want) || errString(streamErr) != errString(wantErr) {
-		t.Fatalf("RunStream shared:\n got %+v (err %v)\nwant %+v (err %v)", streamed, streamErr, want, wantErr)
+	if wantErr != nil {
+		return
+	}
+	rep, err := grid.RunLocal(context.Background(), jobs, nil, nil, 3)
+	if err != nil || !rep.AllDone() || !reflect.DeepEqual(rep.Measurements, want) {
+		t.Fatalf("RunLocal shared:\n got %+v (err %v)\nwant %+v", rep.Measurements, err, want)
 	}
 }
 

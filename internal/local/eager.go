@@ -24,9 +24,11 @@ import (
 //     current slot. The confirm round of the first alternative overlaps the
 //     send round of the second, exactly as in the paper.
 //
-// With the WideMailbox option the per-resource receive capacity is 2d-2
-// instead of d, which (per the paper's note) lets the last round of Phase 2
-// overlap the first of Phase 3, saving one communication round.
+// NewEagerWide gives the per-resource mailbox capacity 2d-2 instead of d.
+// The paper notes that this capacity would let the last round of Phase 2
+// overlap the first of Phase 3, saving one communication round; Round does
+// not implement that overlap, so the variant differs from A_local_eager only
+// in its mailbox capacity and uses the same communication rounds.
 //
 // An Eager value holds per-run scratch and must not be shared by concurrent
 // runs.
@@ -39,8 +41,9 @@ type Eager struct {
 // NewEager returns the A_local_eager strategy with mailbox capacity d.
 func NewEager() *Eager { return &Eager{} }
 
-// NewEagerWide returns the variant with mailbox capacity 2d-2, which runs in
-// eight communication rounds per scheduling round instead of nine.
+// NewEagerWide returns the variant with mailbox capacity 2d-2. Only the
+// capacity differs from A_local_eager: the protocol, and hence the number of
+// communication rounds, is the same.
 func NewEagerWide() *Eager { return &Eager{wide: true} }
 
 // Name implements core.Strategy.

@@ -18,11 +18,22 @@ func (idleStrategy) Name() string             { return "idle" }
 func (idleStrategy) Begin(n, d int)           {}
 func (idleStrategy) Round(*core.RoundContext) {}
 
+// summarize runs SummarizeParallel on two workers and fails the test on
+// any job error.
+func summarize(t *testing.T, mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds int) *Summary {
+	t.Helper()
+	sum, err := SummarizeParallel(mk, gen, seeds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
 func TestSummarizeCountsStarvedSeeds(t *testing.T) {
 	gen := func(seed int64) *core.Trace {
 		return workload.Uniform(workload.Config{N: 4, D: 3, Rounds: 10, Rate: 6, Seed: seed})
 	}
-	sum := Summarize(func() core.Strategy { return idleStrategy{} }, gen, 4)
+	sum := summarize(t, func() core.Strategy { return idleStrategy{} }, gen, 4)
 	if sum.Starved != 4 {
 		t.Fatalf("starved %d, want 4", sum.Starved)
 	}
@@ -33,7 +44,7 @@ func TestSummarizeCountsStarvedSeeds(t *testing.T) {
 		t.Fatalf("String() hides starvation: %q", sum.String())
 	}
 	// A working strategy on the same workloads starves nowhere.
-	sum = Summarize(func() core.Strategy { return strategies.NewBalance() }, gen, 4)
+	sum = summarize(t, func() core.Strategy { return strategies.NewBalance() }, gen, 4)
 	if sum.Starved != 0 {
 		t.Fatalf("A_balance starved %d seeds on light load", sum.Starved)
 	}
@@ -93,23 +104,4 @@ func TestRunParallelCheckedAttributesPanics(t *testing.T) {
 	if out[0].Input != "healthy-before" || out[2].Input != "healthy-after" {
 		t.Fatalf("sibling labels wrong: %+v", out)
 	}
-}
-
-func TestRunParallelRepanicsWithJobPanic(t *testing.T) {
-	jobs := []Job{{
-		Name:     "nil-deref",
-		Build:    func() adversary.Construction { return adversary.Fix(2, 10) },
-		Strategy: func() core.Strategy { return nil }, // nil strategy: Name() panics
-	}}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("RunParallel swallowed the job panic")
-		}
-		jp, ok := r.(error)
-		if !ok || !strings.Contains(jp.Error(), "nil-deref") {
-			t.Fatalf("re-panic value %v does not attribute the job", r)
-		}
-	}()
-	RunParallel(jobs, 1)
 }

@@ -50,20 +50,6 @@ func countOptimum(t *testing.T) *atomic.Int64 {
 	return &n
 }
 
-// runBothPools runs jobs on RunParallelChecked and RunStreamChecked and
-// returns both results.
-func runBothPools(jobs []Job, workers int) (par, stream []Measurement, parErr, streamErr error) {
-	par, parErr = RunParallelChecked(jobs, workers)
-	stream = make([]Measurement, len(jobs))
-	streamErr = RunStreamChecked(func(i int) (Job, bool) {
-		if i >= len(jobs) {
-			return Job{}, false
-		}
-		return jobs[i], true
-	}, workers, func(i int, m Measurement) { stream[i] = m })
-	return par, stream, parErr, streamErr
-}
-
 func TestSharedInputBuildsAndSolvesOncePerRun(t *testing.T) {
 	// Runs of equal keys: [1 1 1] [2 2] [1] [nil] [nil] [3 3]. The second
 	// run of 1 is not adjacent to the first, so it builds again.
@@ -80,15 +66,12 @@ func TestSharedInputBuildsAndSolvesOncePerRun(t *testing.T) {
 		var builds atomic.Int64
 		opts := countOptimum(t)
 		jobs := countingJobs(keys, &builds)
-		par, stream, perr, serr := runBothPools(jobs, workers)
-		if perr != nil || serr != nil {
-			t.Fatalf("workers=%d: %v / %v", workers, perr, serr)
+		got := runAll(t, jobs, workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: shared measurements differ:\n got %+v\nwant %+v", workers, got, want)
 		}
-		if !reflect.DeepEqual(par, want) || !reflect.DeepEqual(stream, want) {
-			t.Fatalf("workers=%d: shared measurements differ:\n par %+v\n stream %+v\n want %+v", workers, par, stream, want)
-		}
-		if b, o := builds.Load(), opts.Load(); b != 2*runs || o != 2*runs {
-			t.Fatalf("workers=%d: %d builds and %d optima over two pools, want %d of each", workers, b, o, 2*runs)
+		if b, o := builds.Load(), opts.Load(); b != runs || o != runs {
+			t.Fatalf("workers=%d: %d builds and %d optima, want %d of each", workers, b, o, runs)
 		}
 	}
 }
@@ -120,15 +103,12 @@ func TestSharedAdaptiveSourceIsNotShared(t *testing.T) {
 		m.Input = j.Name
 		want = append(want, m)
 	}
-	par, stream, perr, serr := runBothPools(jobs, 2)
-	if perr != nil || serr != nil {
-		t.Fatalf("%v / %v", perr, serr)
+	got := runAll(t, jobs, 2)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("adaptive measurements differ:\n got %+v\nwant %+v", got, want)
 	}
-	if !reflect.DeepEqual(par, want) || !reflect.DeepEqual(stream, want) {
-		t.Fatalf("adaptive measurements differ:\n par %+v\n stream %+v\n want %+v", par, stream, want)
-	}
-	if n := builds.Load(); n != 2*int64(len(jobs)) {
-		t.Fatalf("%d builds over two pools, want one per job (%d)", n, 2*len(jobs))
+	if n := builds.Load(); n != int64(len(jobs)) {
+		t.Fatalf("%d builds, want one per job (%d)", n, len(jobs))
 	}
 }
 
@@ -173,12 +153,11 @@ func TestSharedBuildPanicFailsEverySharingJob(t *testing.T) {
 	}
 	failed := map[int]bool{1: true, 2: true, 3: true}
 	for _, workers := range []int{1, 3} {
-		par, stream, perr, serr := runBothPools(jobs, workers)
-		requireSharedPanics(t, jobs, par, perr, failed, "broken input")
-		requireSharedPanics(t, jobs, stream, serr, failed, "broken input")
+		ms, err := RunParallelChecked(jobs, workers)
+		requireSharedPanics(t, jobs, ms, err, failed, "broken input")
 	}
-	if n := badBuilds.Load(); n != 4 {
-		t.Fatalf("panicking Build ran %d times, want once per pool run (4)", n)
+	if n := badBuilds.Load(); n != 2 {
+		t.Fatalf("panicking Build ran %d times, want once per pool run (2)", n)
 	}
 }
 
@@ -196,10 +175,9 @@ func TestSharedOptimumPanicFailsEverySharingJob(t *testing.T) {
 		return offline.Optimum(tr)
 	}
 	failed := map[int]bool{1: true, 2: true, 3: true}
-	par, stream, perr, serr := runBothPools(jobs, 2)
-	requireSharedPanics(t, jobs, par, perr, failed, "broken solver")
-	requireSharedPanics(t, jobs, stream, serr, failed, "broken solver")
-	if n := solves.Load(); n != 2 {
-		t.Fatalf("panicking optimum ran %d times, want once per pool run (2)", n)
+	ms, err := RunParallelChecked(jobs, 2)
+	requireSharedPanics(t, jobs, ms, err, failed, "broken solver")
+	if n := solves.Load(); n != 1 {
+		t.Fatalf("panicking optimum ran %d times, want once (the one shared solve)", n)
 	}
 }

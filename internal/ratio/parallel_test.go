@@ -38,6 +38,16 @@ func parallelJobs() []Job {
 	}
 }
 
+// runAll runs jobs on the pool and fails the test on any job error.
+func runAll(t *testing.T, jobs []Job, workers int) []Measurement {
+	t.Helper()
+	out, err := RunParallelChecked(jobs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRunParallelMatchesSequential(t *testing.T) {
 	jobs := parallelJobs()
 	seq := make([]Measurement, len(jobs))
@@ -46,7 +56,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		seq[i].Input = j.Name
 	}
 	for _, workers := range []int{1, 2, 8, 0} {
-		par := RunParallel(jobs, workers)
+		par := runAll(t, jobs, workers)
 		if len(par) != len(seq) {
 			t.Fatalf("workers=%d: got %d results", workers, len(par))
 		}
@@ -59,14 +69,14 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 }
 
 func TestRunParallelEmpty(t *testing.T) {
-	if out := RunParallel(nil, 4); len(out) != 0 {
+	if out := runAll(t, nil, 4); len(out) != 0 {
 		t.Fatal("empty job list should return empty results")
 	}
 }
 
 func TestRunParallelOrderPreserved(t *testing.T) {
 	jobs := parallelJobs()
-	out := RunParallel(jobs, 3)
+	out := runAll(t, jobs, 3)
 	for i, j := range jobs {
 		if out[i].Input != j.Name {
 			t.Fatalf("result %d carries name %q, want %q", i, out[i].Input, j.Name)
@@ -85,7 +95,7 @@ func TestRunParallelRace(t *testing.T) {
 			Strategy: func() core.Strategy { return strategies.NewFix() },
 		})
 	}
-	out := RunParallel(jobs, 8)
+	out := runAll(t, jobs, 8)
 	for i, m := range out {
 		if m.OPT == 0 || m.ALG == 0 {
 			t.Fatalf("job %d empty: %+v", i, m)

@@ -1,7 +1,7 @@
 // Package ratio measures empirical competitive ratios: it runs an online
 // strategy and the offline optimum on the same input and reports
-// perf_OPT / perf_ALG, plus sweep and convergence helpers used by the
-// Table 1 harness.
+// perf_OPT / perf_ALG, plus the worker pool the sweep and Table 1 harnesses
+// run on.
 package ratio
 
 import (
@@ -43,18 +43,7 @@ func (m Measurement) String() string {
 		m.Strategy, m.Input, m.N, m.D, m.OPT, m.ALG, m.Ratio(), m.Bound)
 }
 
-// Measure runs s over tr and compares with the offline optimum. The trace
-// must be valid; Measure panics otherwise. Input boundaries (CLI tools fed
-// serialized traces) should use MeasureChecked.
-func Measure(s core.Strategy, tr *core.Trace) Measurement {
-	m, err := MeasureChecked(s, tr)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// MeasureChecked is Measure for untrusted traces: instead of panicking on an
+// MeasureChecked runs s over tr and compares with the offline optimum. On an
 // invalid trace it returns the validation error, which names the first
 // offending request.
 func MeasureChecked(s core.Strategy, tr *core.Trace) (Measurement, error) {
@@ -116,16 +105,4 @@ func measureConstruction(c adversary.Construction, s core.Strategy, optimum func
 	m.Input = c.Name
 	m.Bound = c.Bound
 	return m
-}
-
-// Convergence measures the ratio of strategy mk() on build(phases) for each
-// phase count, showing convergence of the empirical ratio to the bound as the
-// additive constant washes out.
-func Convergence(build func(phases int) adversary.Construction, mk func() core.Strategy, phaseCounts []int) []Measurement {
-	out := make([]Measurement, 0, len(phaseCounts))
-	for _, p := range phaseCounts {
-		c := build(p)
-		out = append(out, MeasureConstruction(c, mk()))
-	}
-	return out
 }

@@ -16,7 +16,7 @@ func TestSummaryStringStarved(t *testing.T) {
 	gen := func(seed int64) *core.Trace {
 		return workload.Uniform(workload.Config{N: 3, D: 2, Rounds: 10, Rate: 4, Seed: seed})
 	}
-	sum := Summarize(func() core.Strategy { return idleStrategy{} }, gen, 3)
+	sum := summarize(t, func() core.Strategy { return idleStrategy{} }, gen, 3)
 	if sum.Starved != 3 {
 		t.Fatalf("idle strategy starved %d of 3 seeds, want all", sum.Starved)
 	}

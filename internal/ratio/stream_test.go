@@ -1,6 +1,7 @@
 package ratio
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -21,7 +22,7 @@ func TestRunStreamCheckedMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8, 0} {
 		var got []Measurement
-		err := RunStreamChecked(func(i int) (Job, bool) {
+		err := RunStreamCtx(context.Background(), func(i int) (Job, bool) {
 			if i >= len(jobs) {
 				return Job{}, false
 			}
@@ -51,7 +52,7 @@ func TestRunStreamCheckedLargeSweepBounded(t *testing.T) {
 	// in order. `go test -race` covers the synchronization.
 	const total = 200
 	emitted := 0
-	err := RunStreamChecked(func(i int) (Job, bool) {
+	err := RunStreamCtx(context.Background(), func(i int) (Job, bool) {
 		if i >= total {
 			return Job{}, false
 		}
@@ -80,7 +81,7 @@ func TestRunStreamCheckedLargeSweepBounded(t *testing.T) {
 func TestRunStreamCheckedAttributesPanics(t *testing.T) {
 	names := []string{"ok-0", "boom-1", "ok-2", "boom-3", "ok-4"}
 	var got []int
-	err := RunStreamChecked(func(i int) (Job, bool) {
+	err := RunStreamCtx(context.Background(), func(i int) (Job, bool) {
 		if i >= len(names) {
 			return Job{}, false
 		}
@@ -113,32 +114,6 @@ func TestRunStreamCheckedAttributesPanics(t *testing.T) {
 	// Failed jobs are skipped by emit; siblings still arrive in order.
 	if !reflect.DeepEqual(got, []int{0, 2, 4}) {
 		t.Fatalf("emitted %v, want [0 2 4]", got)
-	}
-}
-
-func TestSummarizeParallelMatchesSummarize(t *testing.T) {
-	gens := map[string]func(seed int64) *core.Trace{
-		"uniform": func(seed int64) *core.Trace {
-			return workload.Uniform(workload.Config{N: 4, D: 3, Rounds: 10, Rate: 6, Seed: seed})
-		},
-		"bursty": func(seed int64) *core.Trace {
-			return workload.Bursty(workload.Config{N: 3, D: 2, Rounds: 12, Rate: 2, Seed: seed}, 3, 4, 5)
-		},
-	}
-	for name, gen := range gens {
-		want := Summarize(func() core.Strategy { return strategies.NewBalance() }, gen, 8)
-		for _, workers := range []int{1, 3} {
-			got, err := SummarizeParallel(func() core.Strategy { return strategies.NewBalance() }, gen, 8, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			// Bit-identical, not approximately equal: the parallel runner folds
-			// in seed order, so even Welford's order-sensitive accumulator
-			// matches exactly.
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s workers=%d:\n got %+v\nwant %+v", name, workers, got, want)
-			}
-		}
 	}
 }
 

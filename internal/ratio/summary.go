@@ -1,10 +1,11 @@
 package ratio
 
 import (
+	"context"
 	"fmt"
 
+	"reqsched/internal/adversary"
 	"reqsched/internal/core"
-	"reqsched/internal/offline"
 	"reqsched/internal/stats"
 )
 
@@ -39,30 +40,38 @@ func (s *Summary) String() string {
 		s.Served.Mean(), s.Served.Std(), s.Starved)
 }
 
-// Summarize measures mk() against the traces produced by gen(seed) for seeds
-// 0..seeds-1.
-func Summarize(mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds int) *Summary {
+// SummarizeParallel measures mk() against the traces produced by gen(seed)
+// for seeds 0..seeds-1 on the worker pool (workers <= 0: GOMAXPROCS). The
+// per-seed simulations and offline optima run concurrently, while the
+// summary is folded strictly in seed order, so the result is bit-identical
+// for every worker count. A panicking seed surfaces as a *JobPanic naming it
+// (the completed seeds are still folded and Seeds records only them).
+func SummarizeParallel(mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds, workers int) (*Summary, error) {
 	var sum Summary
-	sum.Seeds = seeds
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		tr := gen(seed)
-		s := mk()
-		if sum.Strategy == "" {
-			sum.Strategy = s.Name()
+	sum.Strategy = mk().Name()
+	err := RunStreamCtx(context.Background(), func(i int) (Job, bool) {
+		if i >= seeds {
+			return Job{}, false
 		}
-		res := core.Run(s, tr)
-		opt := offline.Optimum(tr)
-		if res.Fulfilled > 0 {
-			sum.Ratio.Add(float64(opt) / float64(res.Fulfilled))
-		} else if opt == 0 {
+		seed := int64(i)
+		return Job{
+			Name:     fmt.Sprintf("seed %d", seed),
+			Build:    func() adversary.Construction { return adversary.Construction{Trace: gen(seed)} },
+			Strategy: mk,
+		}, true
+	}, workers, func(i int, m Measurement) {
+		sum.Seeds++
+		if m.ALG > 0 {
+			sum.Ratio.Add(float64(m.OPT) / float64(m.ALG))
+		} else if m.OPT == 0 {
 			sum.Ratio.Add(1)
 		} else {
-			// Infinite ratio: the strategy starved while OPT served opt
-			// requests. Excluded from the mean, surfaced in Starved.
+			// Infinite ratio: the strategy starved while OPT served
+			// something. Excluded from the mean, surfaced in Starved.
 			sum.Starved++
 		}
-		sum.Served.Add(float64(res.Fulfilled))
-		sum.Expired.Add(float64(res.Expired))
-	}
-	return &sum
+		sum.Served.Add(float64(m.ALG))
+		sum.Expired.Add(float64(m.Expired))
+	})
+	return &sum, err
 }

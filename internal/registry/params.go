@@ -173,14 +173,23 @@ func (c Component) param(name string) (Param, bool) {
 // declared bounds, and the component's extra Check (if any) must accept the
 // completed set. Missing parameters are not an error — Apply fills defaults.
 func (c Component) Validate(p Params) error {
+	_, err := c.validate(p, false)
+	return err
+}
+
+// validate is Validate returning the default-filled set. It builds that set
+// only when fill is set or Check needs it for a partial p: once every name
+// in p is known to be declared, len(p) == len(c.Params) means p is already
+// complete, and Check reads it in place.
+func (c Component) validate(p Params, fill bool) (Params, error) {
 	for name, v := range p {
 		sp, ok := c.param(name)
 		if !ok {
-			return fmt.Errorf("registry: %s %q: unknown parameter %q (schema: %s)",
+			return nil, fmt.Errorf("registry: %s %q: unknown parameter %q (schema: %s)",
 				c.Kind, c.Name, name, c.schemaNames())
 		}
 		if v.T != sp.Type {
-			return fmt.Errorf("registry: %s %q: parameter %q is %s, got %s value %s",
+			return nil, fmt.Errorf("registry: %s %q: parameter %q is %s, got %s value %s",
 				c.Kind, c.Name, name, sp.Type, v.T, v)
 		}
 		// Non-finite floats must be rejected explicitly: NaN compares false
@@ -189,24 +198,28 @@ func (c Component) Validate(p Params) error {
 		// (cmd/serve -strategy, HTTP-configured components) this is an input
 		// validation hole, not a curiosity.
 		if v.T == Float && (math.IsNaN(v.F) || math.IsInf(v.F, 0)) {
-			return fmt.Errorf("registry: %s %q: parameter %q = %s is not a finite number",
+			return nil, fmt.Errorf("registry: %s %q: parameter %q = %s is not a finite number",
 				c.Kind, c.Name, name, v)
 		}
 		if sp.Min != nil && v.Num() < *sp.Min {
-			return fmt.Errorf("registry: %s %q: parameter %q = %s below minimum %g",
+			return nil, fmt.Errorf("registry: %s %q: parameter %q = %s below minimum %g",
 				c.Kind, c.Name, name, v, *sp.Min)
 		}
 		if sp.Max != nil && v.Num() > *sp.Max {
-			return fmt.Errorf("registry: %s %q: parameter %q = %s above maximum %g",
+			return nil, fmt.Errorf("registry: %s %q: parameter %q = %s above maximum %g",
 				c.Kind, c.Name, name, v, *sp.Max)
 		}
 	}
+	full := p
+	if fill || (c.Check != nil && len(p) != len(c.Params)) {
+		full = c.fill(p)
+	}
 	if c.Check != nil {
-		if err := c.Check(c.fill(p)); err != nil {
-			return fmt.Errorf("registry: %s %q: %w", c.Kind, c.Name, err)
+		if err := c.Check(full); err != nil {
+			return nil, fmt.Errorf("registry: %s %q: %w", c.Kind, c.Name, err)
 		}
 	}
-	return nil
+	return full, nil
 }
 
 // fill returns p with defaults for every omitted schema parameter.
@@ -224,12 +237,7 @@ func (c Component) fill(p Params) Params {
 
 // Apply validates p and returns the complete parameter set with defaults
 // filled in — the form the component constructors consume.
-func (c Component) Apply(p Params) (Params, error) {
-	if err := c.Validate(p); err != nil {
-		return nil, err
-	}
-	return c.fill(p), nil
-}
+func (c Component) Apply(p Params) (Params, error) { return c.validate(p, true) }
 
 // Defaults returns the component's complete default parameter set.
 func (c Component) Defaults() Params { return c.fill(nil) }

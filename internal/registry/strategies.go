@@ -51,7 +51,7 @@ func init() {
 		true, func() core.Strategy { return local.NewFix() })
 	strategy("A_local_eager: at most nine communication rounds per scheduling round, 5/3-competitive (Thm 3.8)",
 		true, func() core.Strategy { return local.NewEager() })
-	strategy("2d-2 mailbox variant of A_local_eager (eight communication rounds)",
+	strategy("A_local_eager with a 2d-2 mailbox (only the capacity differs; same communication rounds)",
 		true, func() core.Strategy { return local.NewEagerWide() })
 
 	// Weighted extension strategies (unlisted: they target weighted traces).

@@ -1,9 +1,9 @@
 // Package runner is the shared measurement pipeline behind the CLI
 // frontends: a manifest of serializable (strategy, source, params) records
 // is expanded into grid jobs — stable content-derived IDs included — and
-// executed on one of three interchangeable engines: the plain in-process
-// worker pool, the journaled local pool with crash-safe resume, or the
-// subprocess supervisor with per-job deadlines and retries. The frontends
+// executed on one of three interchangeable engines: the in-process worker
+// pool (with an optional crash-safe journal), the subprocess supervisor with
+// per-job deadlines and retries, or remote TCP gridworkers. The frontends
 // (internal/app) only declare records, pick options, and print; everything
 // between source and summary lives here, once.
 package runner
@@ -98,8 +98,8 @@ type Result struct {
 	// Measurements holds one entry per job, in manifest order. Entries of
 	// failed cells are zero; check Done.
 	Measurements []ratio.Measurement
-	// Done marks completed cells. A nil Done means every cell completed
-	// (the plain path reports no partial grids).
+	// Done marks completed cells; it is nil only when an interrupted run
+	// stopped before any cell was reported.
 	Done []bool
 	// FromJournal counts cells folded from the resume journal; Retried
 	// counts subprocess retries.
@@ -125,10 +125,10 @@ func (r *Result) AllDone() bool {
 	return true
 }
 
-// Run executes the manifest. The plain path (no shard, no journal) is the
-// in-process worker pool, bit-identical to the historical direct
-// ratio.RunParallel call; the journaled and sharded paths add crash-safe
-// resume and subprocess supervision with identical measurements.
+// Run executes the manifest. Every in-process run (no shard, no remote
+// workers) goes through grid.RunLocal on the ratio worker pool, journaled or
+// not; the sharded and remote paths add subprocess or TCP supervision with
+// identical measurements.
 func Run(ctx context.Context, jobs []grid.Job, o Options) (*Result, error) {
 	tool := o.Tool
 	if tool == "" {
@@ -144,10 +144,6 @@ func Run(ctx context.Context, jobs []grid.Job, o Options) (*Result, error) {
 	if o.LinkFault != nil && len(o.WorkersAt) == 0 {
 		return nil, fmt.Errorf("%s: a link fault needs remote workers (-workers-at)", tool)
 	}
-	if o.Shard <= 0 && o.JournalPath == "" && len(o.WorkersAt) == 0 {
-		return &Result{Measurements: ratio.RunParallel(grid.RatioJobs(jobs), o.Workers)}, nil
-	}
-
 	var j *grid.Journal
 	var done map[string]grid.Record
 	if o.JournalPath != "" {
@@ -242,32 +238,4 @@ func Run(ctx context.Context, jobs []grid.Job, o Options) (*Result, error) {
 		res.FailureReport = rep.FailureReport()
 	}
 	return res, nil
-}
-
-// Measure runs one cell in-process, serially — the single-shot pipeline the
-// replay and inspection tools use.
-func Measure(job grid.Job) (ratio.Measurement, error) {
-	c, err := job.Spec.Build.Construction()
-	if err != nil {
-		return ratio.Measurement{}, err
-	}
-	s, err := registry.NewStrategySpec(job.Spec.Strategy)
-	if err != nil {
-		return ratio.Measurement{}, err
-	}
-	return ratio.MeasureConstruction(c, s), nil
-}
-
-// Stream runs jobs produced on demand through the measurement pool,
-// emitting each result as it completes — the bounded-memory variant for
-// open-ended manifests. next is called with 0, 1, 2, ... until it reports
-// no more jobs; emit receives (index, measurement) in completion order.
-func Stream(ctx context.Context, next func(int) (grid.Job, bool), workers int, emit func(int, ratio.Measurement)) error {
-	return ratio.RunStreamCtx(ctx, func(i int) (ratio.Job, bool) {
-		job, ok := next(i)
-		if !ok {
-			return ratio.Job{}, false
-		}
-		return grid.RatioJobs([]grid.Job{job})[0], true
-	}, workers, emit)
 }

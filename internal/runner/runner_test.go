@@ -46,28 +46,42 @@ func requireSame(t *testing.T, ctx string, got, want []ratio.Measurement) {
 	}
 }
 
-// TestPlainPathIsRunParallel pins the plain path (no shard, no journal, no
-// remote workers) to the in-process pool it wraps, bit for bit.
-func TestPlainPathIsRunParallel(t *testing.T) {
+// measureEach measures every cell directly, one at a time, off the pool: the
+// reference the runner's engines are compared against.
+func measureEach(t *testing.T, jobs []grid.Job) []ratio.Measurement {
+	t.Helper()
+	want := make([]ratio.Measurement, len(jobs))
+	for i, job := range jobs {
+		c, err := job.Spec.Build.Construction()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := registry.NewStrategySpec(job.Spec.Strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ratio.MeasureConstruction(c, s)
+		want[i].Input = job.Name
+	}
+	return want
+}
+
+// TestJournalResumeReproducesPlain runs the manifest without a journal and
+// journaled, then resumes over the complete journal: every cell folds from it,
+// and all three runs equal the cells measured one by one.
+func TestJournalResumeReproducesPlain(t *testing.T) {
 	jobs := testJobs(t)
-	want := ratio.RunParallel(grid.RatioJobs(jobs), 2)
-	res, err := Run(context.Background(), jobs, Options{Workers: 2})
+	want := measureEach(t, jobs)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+
+	plain, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Done != nil || !res.AllDone() || res.FromJournal != 0 {
-		t.Fatalf("plain run: Done %v, FromJournal %d", res.Done, res.FromJournal)
+	if len(plain.Done) != len(jobs) || !plain.AllDone() || plain.FromJournal != 0 {
+		t.Fatalf("plain run: Done %v, FromJournal %d", plain.Done, plain.FromJournal)
 	}
-	requireSame(t, "plain", res.Measurements, want)
-}
-
-// TestJournalResumeReproducesPlain runs the manifest journaled, then resumes
-// over the complete journal: every cell folds from it and the measurements
-// equal the plain path's.
-func TestJournalResumeReproducesPlain(t *testing.T) {
-	jobs := testJobs(t)
-	want := ratio.RunParallel(grid.RatioJobs(jobs), 2)
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	requireSame(t, "plain", plain.Measurements, want)
 
 	first, err := Run(context.Background(), jobs, Options{Workers: 2, JournalPath: path})
 	if err != nil {

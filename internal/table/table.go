@@ -65,10 +65,8 @@ func entry(row, param, theorem string, d int, m ratio.Measurement) Entry {
 }
 
 // rowSpec is one Table 1 cell, declared once as a registry record — strategy
-// and adversary by name plus the construction's parameters — and measured
-// either serially or on the ratio worker pool through the grid manifest
-// pipeline. Both execution paths share the same spec list, so their output is
-// identical by construction.
+// and adversary by name plus the construction's parameters — and measured on
+// the ratio worker pool through the grid manifest pipeline.
 type rowSpec struct {
 	row, param, theorem string
 	d                   int
@@ -208,7 +206,7 @@ func modelRowSpecs(cfg Config) []rowSpec {
 }
 
 // measureSpecs resolves the specs into a grid manifest and measures it on the
-// ratio worker pool (workers <= 0: GOMAXPROCS; 1: serial), converting the
+// ratio worker pool (workers <= 0: GOMAXPROCS), converting the
 // measurements, in spec order, into entries. Every job is independent and
 // deterministic, so the output does not depend on workers.
 func measureSpecs(specs []rowSpec, workers int) ([]Entry, error) {
@@ -246,48 +244,22 @@ func measureSpecs(specs []rowSpec, workers int) ([]Entry, error) {
 	return out, nil
 }
 
-// Rows measures every Table 1 row on its lower-bound construction across a
-// spread of deadline windows, serially.
-func Rows(cfg Config) []Entry {
-	out, err := measureSpecs(rowSpecs(cfg), 1)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RowsParallel is Rows on the ratio worker pool: identical entries (every
-// cell is an independent deterministic measurement), job panics surfaced as
-// an error instead of taking the harness down.
+// RowsParallel measures every Table 1 row on its lower-bound construction
+// across a spread of deadline windows, on the ratio worker pool. Every cell
+// is an independent deterministic measurement, so the entries do not depend
+// on workers; job panics surface as an error.
 func RowsParallel(cfg Config, workers int) ([]Entry, error) {
 	return measureSpecs(rowSpecs(cfg), workers)
 }
 
-// LocalRows measures the local strategies (Theorems 3.7, 3.8), serially.
-func LocalRows(cfg Config) []Entry {
-	out, err := measureSpecs(localRowSpecs(cfg), 1)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// LocalRowsParallel is LocalRows on the ratio worker pool.
+// LocalRowsParallel measures the local strategies (Theorems 3.7, 3.8) and
+// EDF's exactly-2 family on the ratio worker pool.
 func LocalRowsParallel(cfg Config, workers int) ([]Entry, error) {
 	return measureSpecs(localRowSpecs(cfg), workers)
 }
 
-// ModelRows measures the reusable-resources rows (greedy under hold=k
-// service models), serially.
-func ModelRows(cfg Config) []Entry {
-	out, err := measureSpecs(modelRowSpecs(cfg), 1)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ModelRowsParallel is ModelRows on the ratio worker pool.
+// ModelRowsParallel measures the reusable-resources rows (greedy under
+// hold=k service models) on the ratio worker pool.
 func ModelRowsParallel(cfg Config, workers int) ([]Entry, error) {
 	return measureSpecs(modelRowSpecs(cfg), workers)
 }

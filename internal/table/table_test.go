@@ -7,8 +7,18 @@ import (
 
 func smallConfig() Config { return Config{Phases: 16, Groups: 8} }
 
+// rows measures the Table 1 rows on one worker.
+func rows(t *testing.T, cfg Config) []Entry {
+	t.Helper()
+	out, err := RowsParallel(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRowsCoverEveryTableRow(t *testing.T) {
-	entries := Rows(smallConfig())
+	entries := rows(t, smallConfig())
 	rows := map[string]bool{}
 	for _, e := range entries {
 		rows[e.Row] = true
@@ -30,7 +40,7 @@ func TestRowsCoverEveryTableRow(t *testing.T) {
 }
 
 func TestRowsRespectUpperBounds(t *testing.T) {
-	for _, e := range Rows(smallConfig()) {
+	for _, e := range rows(t, smallConfig()) {
 		if e.ProvenUB == 0 {
 			t.Errorf("%s %s: missing upper bound", e.Row, e.Param)
 			continue
@@ -45,7 +55,7 @@ func TestRowsApproachLowerBoundsFromBelow(t *testing.T) {
 	// At modest phase counts the measurement sits below the proven LB but
 	// within 20% of it for the non-asymptotic rows (the A_current l-rows
 	// and the universal rows measure against limits, skip those).
-	for _, e := range Rows(smallConfig()) {
+	for _, e := range rows(t, smallConfig()) {
 		if e.LBNote != "" || e.ProvenLB == 0 {
 			continue
 		}
@@ -61,7 +71,10 @@ func TestRowsApproachLowerBoundsFromBelow(t *testing.T) {
 }
 
 func TestLocalRows(t *testing.T) {
-	entries := LocalRows(smallConfig())
+	entries, err := LocalRowsParallel(smallConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sawExactTwo := false
 	for _, e := range entries {
 		if e.Row == "A_local_fix" && e.Measured() == 2.0 {
@@ -102,22 +115,25 @@ func TestEntryMeasuredZeroALG(t *testing.T) {
 }
 
 func TestRowsParallelEqualsRows(t *testing.T) {
-	// Every cell is an independent deterministic measurement, so the parallel
-	// harness must reproduce the serial entries exactly at any worker count.
+	// Every cell is an independent deterministic measurement, so the pool
+	// must reproduce the one-worker entries exactly at any worker count.
 	cfg := smallConfig()
-	want := Rows(cfg)
-	wantLocal := LocalRows(cfg)
+	want := rows(t, cfg)
+	wantLocal, err := LocalRowsParallel(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{2, 4, 0} {
 		got, err := RowsParallel(cfg, workers)
 		if err != nil {
 			t.Fatalf("RowsParallel(workers=%d): %v", workers, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("RowsParallel(workers=%d): %d entries, serial %d", workers, len(got), len(want))
+			t.Fatalf("RowsParallel(workers=%d): %d entries, one worker %d", workers, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("RowsParallel(workers=%d) entry %d = %+v, serial %+v", workers, i, got[i], want[i])
+				t.Fatalf("RowsParallel(workers=%d) entry %d = %+v, one worker %+v", workers, i, got[i], want[i])
 			}
 		}
 		gotLocal, err := LocalRowsParallel(cfg, workers)
@@ -125,11 +141,11 @@ func TestRowsParallelEqualsRows(t *testing.T) {
 			t.Fatalf("LocalRowsParallel(workers=%d): %v", workers, err)
 		}
 		if len(gotLocal) != len(wantLocal) {
-			t.Fatalf("LocalRowsParallel(workers=%d): %d entries, serial %d", workers, len(gotLocal), len(wantLocal))
+			t.Fatalf("LocalRowsParallel(workers=%d): %d entries, one worker %d", workers, len(gotLocal), len(wantLocal))
 		}
 		for i := range wantLocal {
 			if gotLocal[i] != wantLocal[i] {
-				t.Fatalf("LocalRowsParallel(workers=%d) entry %d = %+v, serial %+v", workers, i, gotLocal[i], wantLocal[i])
+				t.Fatalf("LocalRowsParallel(workers=%d) entry %d = %+v, one worker %+v", workers, i, gotLocal[i], wantLocal[i])
 			}
 		}
 	}

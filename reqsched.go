@@ -21,7 +21,7 @@
 //   - the offline optimum (Optimum, OptimumSchedule);
 //   - every adversarial lower-bound construction from the paper's proofs
 //     (AdversaryFix .. AdversaryUniversal) and the measurement harness that
-//     regenerates Table 1 (Measure, MeasureConstruction);
+//     regenerates Table 1 (MeasureChecked, MeasureConstruction);
 //   - synthetic workload generators (Uniform, Zipf, Bursty, VideoServer, ...)
 //     and JSON trace serialization.
 //
@@ -248,8 +248,8 @@ func NewALocalFix() Strategy { return local.NewFix() }
 // per scheduling round, 5/3-competitive (Theorem 3.8).
 func NewALocalEager() Strategy { return local.NewEager() }
 
-// NewALocalEagerWide returns the 2d-2 mailbox variant of A_local_eager
-// (eight communication rounds).
+// NewALocalEagerWide returns A_local_eager with a 2d-2 mailbox; only the
+// mailbox capacity differs, not the communication rounds.
 func NewALocalEagerWide() Strategy { return local.NewEagerWide() }
 
 // Strategies returns a fresh instance of every listed strategy, keyed by
@@ -312,11 +312,8 @@ func AdversaryEDF(d, intervals int) Construction { return adversary.EDFWorstCase
 
 // Measurement harness.
 
-// Measure runs s over tr and compares with the offline optimum.
-func Measure(s Strategy, tr *Trace) Measurement { return ratio.Measure(s, tr) }
-
-// MeasureChecked is Measure for untrusted traces: it returns an error naming
-// the first offending request instead of panicking.
+// MeasureChecked runs s over tr and compares with the offline optimum. An
+// invalid trace returns an error naming the first offending request.
 func MeasureChecked(s Strategy, tr *Trace) (Measurement, error) {
 	return ratio.MeasureChecked(s, tr)
 }
@@ -327,25 +324,20 @@ func MeasureConstruction(c Construction, s Strategy) Measurement {
 	return ratio.MeasureConstruction(c, s)
 }
 
-// MeasureJob is one (construction, strategy) measurement for MeasureParallel.
+// MeasureJob is one (construction, strategy) measurement for
+// MeasureParallelChecked.
 type MeasureJob = ratio.Job
 
-// MeasureParallel runs the jobs on a worker pool (GOMAXPROCS workers if
-// workers <= 0) and returns measurements in job order. A panicking job does
-// not take down its siblings: they complete, then MeasureParallel re-panics
-// with a *MeasureJobPanic naming the offending job.
-func MeasureParallel(jobs []MeasureJob, workers int) []Measurement {
-	return ratio.RunParallel(jobs, workers)
-}
-
-// MeasureParallelChecked is MeasureParallel returning job panics as an error
-// (one *MeasureJobPanic per failed job) instead of re-panicking.
+// MeasureParallelChecked runs the jobs on a worker pool (GOMAXPROCS workers
+// if workers <= 0) and returns measurements in job order. A panicking job
+// does not take down its siblings: they complete, and the error joins one
+// *MeasureJobPanic per failed job.
 func MeasureParallelChecked(jobs []MeasureJob, workers int) ([]Measurement, error) {
 	return ratio.RunParallelChecked(jobs, workers)
 }
 
-// MeasureJobPanic attributes a panic in a MeasureParallel job to the job's
-// name and index.
+// MeasureJobPanic attributes a panic in a MeasureParallelChecked job to the
+// job's name and index.
 type MeasureJobPanic = ratio.JobPanic
 
 // FormatRatio renders a measured competitive ratio with the given number of
@@ -357,16 +349,11 @@ func FormatRatio(r float64, decimals int) string { return ratio.FormatRatio(r, d
 // RatioSummary aggregates a strategy's empirical ratio over many seeds.
 type RatioSummary = ratio.Summary
 
-// Summarize measures mk() against gen(seed) for seeds 0..seeds-1 and
-// aggregates the ratios (mean, deviation, extremes).
-func Summarize(mk func() Strategy, gen func(seed int64) *Trace, seeds int) *RatioSummary {
-	return ratio.Summarize(func() core.Strategy { return mk() }, gen, seeds)
-}
-
-// SummarizeParallel is Summarize on a worker pool (workers <= 0: GOMAXPROCS).
-// Results are folded strictly in seed order, so the summary is bit-identical
-// to Summarize for every worker count. A panicking seed surfaces as a
-// *MeasureJobPanic naming it.
+// SummarizeParallel measures mk() against gen(seed) for seeds 0..seeds-1 on
+// a worker pool (workers <= 0: GOMAXPROCS) and aggregates the ratios (mean,
+// deviation, extremes). Results are folded strictly in seed order, so the
+// summary is bit-identical for every worker count. A panicking seed surfaces
+// as a *MeasureJobPanic naming it.
 func SummarizeParallel(mk func() Strategy, gen func(seed int64) *Trace, seeds, workers int) (*RatioSummary, error) {
 	return ratio.SummarizeParallel(func() core.Strategy { return mk() }, gen, seeds, workers)
 }

@@ -135,9 +135,9 @@ func TestFacadeFullSurface(t *testing.T) {
 		}
 	}
 
-	m := reqsched.Measure(reqsched.NewABalance(), tr)
-	if m.OPT < m.ALG {
-		t.Fatal("Measure inverted")
+	m, err := reqsched.MeasureChecked(reqsched.NewABalance(), tr)
+	if err != nil || m.OPT < m.ALG {
+		t.Fatalf("MeasureChecked: %+v, %v", m, err)
 	}
 	res, series := reqsched.RunWithSeries(reqsched.NewABalance(), tr)
 	if len(series.Rounds) == 0 || series.PeakPending() < 0 || series.TotalIdle() < 0 {
@@ -173,8 +173,8 @@ func TestFacadeFullSurface(t *testing.T) {
 		Build:    func() reqsched.Construction { return reqsched.AdversaryFix(2, 5) },
 		Strategy: reqsched.NewAFix,
 	}}
-	if out := reqsched.MeasureParallel(jobs, 2); len(out) != 1 || out[0].OPT == 0 {
-		t.Fatal("MeasureParallel")
+	if out, err := reqsched.MeasureParallelChecked(jobs, 2); err != nil || len(out) != 1 || out[0].OPT == 0 {
+		t.Fatalf("MeasureParallelChecked: %v", err)
 	}
 	if reqsched.SummarizeTrace(tr).Requests != tr.NumRequests() {
 		t.Fatal("SummarizeTrace")

@@ -180,18 +180,23 @@ func BenchmarkSweepD(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine measures raw simulation throughput of every strategy on a
-// shared random workload (requests scheduled per second).
+// BenchmarkEngine measures raw simulation throughput (requests scheduled per
+// second) and the allocation profile of the engine hot path for every
+// strategy on a shared random workload. The per-round scratch reuse in core,
+// strategies, policy, commnet and local keeps allocs/op independent of the
+// round count; a regression here means a fresh allocation crept back into
+// the round loop. served must not move on a pure performance change.
 func BenchmarkEngine(b *testing.B) {
 	tr := reqsched.Uniform(reqsched.WorkloadConfig{
 		N: 16, D: 6, Rounds: 300, Rate: 18, Seed: 11,
 	})
 	for _, name := range []string{
 		"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
-		"EDF", "first_fit", "A_local_fix", "A_local_eager",
+		"EDF", "first_fit", "A_local_fix", "A_local_eager", "A_local_eager_wide",
 	} {
 		name := name
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var served int
 			for i := 0; i < b.N; i++ {
 				res := reqsched.Run(reqsched.StrategyByName(name), tr)
@@ -203,41 +208,18 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAllocs tracks the allocation profile of the engine hot path
-// per strategy on the BenchmarkEngine workload. The per-round scratch reuse in
-// core and strategies keeps allocs/op independent of the round count; a
-// regression here means a fresh allocation crept back into the round loop.
-func BenchmarkEngineAllocs(b *testing.B) {
+// BenchmarkEarliestDeadlineSchedule tracks the offline EDF baseline on the
+// BenchmarkEngine workload: its served set is a dense bitmap, so allocs/op
+// must stay flat in the round count.
+func BenchmarkEarliestDeadlineSchedule(b *testing.B) {
 	tr := reqsched.Uniform(reqsched.WorkloadConfig{
 		N: 16, D: 6, Rounds: 300, Rate: 18, Seed: 11,
 	})
-	// The local entries guard the commnet/local scratch reuse: the network's
-	// message buffer and the strategies' outbox, accept and Phase 3 buffers.
-	// Each compose(router=X) entry must match its fused strategy's allocs/op:
-	// the composite's queue, key and sorter buffers are all reused, so the
-	// decomposition may not add per-round allocations.
-	for _, name := range []string{
-		"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
-		"A_local_fix", "A_local_eager", "A_local_eager_wide",
-		"compose,router=fix", "compose,router=current", "compose,router=fix_balance",
-		"compose,router=eager", "compose,router=balance",
-	} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reqsched.Run(reqsched.StrategyByName(name), tr)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reqsched.EarliestDeadlineSchedule(tr)
 	}
-	// The offline EDF baseline shares the regression class: its served set is
-	// a dense bitmap, so allocs/op must stay flat in the round count.
-	b.Run("EarliestDeadlineSchedule", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			reqsched.EarliestDeadlineSchedule(tr)
-		}
-	})
 }
 
 // BenchmarkSolve measures the segmented offline optimum of each objective

@@ -180,16 +180,16 @@ func TestUniversalAdversaryBeatsEveryStrategy(t *testing.T) {
 	// 45/41 on this adaptive input. Verify for all five global strategies,
 	// EDF, and the baselines.
 	bound := 45.0 / 41.0
-	names := []string{
-		"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
-		"EDF", "EDF_coordinated", "first_fit",
-	}
-	for _, name := range names {
+	for _, s := range []core.Strategy{
+		strategies.NewFix(), strategies.NewCurrent(), strategies.NewFixBalance(),
+		strategies.NewEager(), strategies.NewBalance(),
+		strategies.NewEDF(), strategies.NewEDFCoordinated(), strategies.NewFirstFit(),
+	} {
 		c := Universal(6, 25)
-		opt, alg := measure(t, c, strategies.New()[name])
+		opt, alg := measure(t, c, s)
 		r := float64(opt) / float64(alg)
 		if r < bound {
-			t.Errorf("%s: ratio %.4f below universal bound %.4f", name, r, bound)
+			t.Errorf("%s: ratio %.4f below universal bound %.4f", s.Name(), r, bound)
 		}
 	}
 }

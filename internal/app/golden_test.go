@@ -194,6 +194,38 @@ func TestSchedsimConfigRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestSchedsimRejectsUnsupportedModel: a strategy named explicitly that
+// cannot run the workload's service model is a usage error on every schedsim
+// path (exit 2, one stderr line, no stdout), and the default strategy list
+// leaves it out.
+func TestSchedsimRejectsUnsupportedModel(t *testing.T) {
+	reusable := []string{"-workload", "reusable", "-hold", "2", "-cap", "2", "-rounds", "20"}
+	suite := filepath.Join(t.TempDir(), "suite.json")
+	js := `{"workload": {"kind": "reusable", "n": 8, "d": 4, "rounds": 20, "hold": 2, "cap": 2}, "strategies": ["A_balance"], "seeds": 2}`
+	if err := os.WriteFile(suite, []byte(js), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		append(reusable[:len(reusable):len(reusable)], "-strategy", "A_balance"),
+		append(reusable[:len(reusable):len(reusable)], "-strategy", "A_balance", "-seeds", "3"),
+		append(reusable[:len(reusable):len(reusable)], "-series"),
+		{"-config", suite},
+	} {
+		var out, errb bytes.Buffer
+		code := SchedsimMain(args, &out, &errb)
+		msg := errb.String()
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "hold=1 only") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one line naming the model", args, code, out.String(), msg)
+		}
+	}
+	for _, extra := range [][]string{nil, {"-seeds", "2"}} {
+		out := run(t, SchedsimMain, append(reusable[:len(reusable):len(reusable)], extra...)...)
+		if strings.Contains(out, "A_balance") || !strings.Contains(out, "first_fit") {
+			t.Errorf("default list under hold=2,cap=2 %v:\n%s", extra, out)
+		}
+	}
+}
+
 func TestPaperGolden(t *testing.T) {
 	for _, w := range workerCounts {
 		requireGolden(t, "paper_quick.txt", run(t, PaperMain, "-quick", "-workers", w), "-workers", w)

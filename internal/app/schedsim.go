@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"reqsched"
+	"reqsched/internal/core"
 	"reqsched/internal/grid"
 	"reqsched/internal/registry"
 	"reqsched/internal/stats"
@@ -168,18 +169,21 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return tr
 	}
+	// Every strategy is checked before anything runs: an explicitly named
+	// one that is unknown or cannot run the workload's service model is a
+	// usage error, and the default list holds only the ones that can.
+	model := registry.ModelOf(params)
 	names := run.Strategies
 	if len(names) == 0 {
-		names = listedNames()
+		names = listedNames(model)
+	}
+	for _, name := range names {
+		if !runnable(stderr, name, model) {
+			return 2
+		}
 	}
 
 	if run.Seeds > 1 || *config != "" {
-		for _, name := range names {
-			if reqsched.StrategyByName(name) == nil {
-				strategySpecError(stderr, name)
-				return 2
-			}
-		}
 		fmt.Fprintf(stdout, "workload %s aggregated over %d seeds\n\n", wl, run.Seeds)
 		for _, name := range names {
 			sum, err := reqsched.SummarizeParallel(
@@ -200,12 +204,10 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		if name == "" {
 			name = "A_balance"
 		}
-		s := reqsched.StrategyByName(name)
-		if s == nil {
-			strategySpecError(stderr, name)
+		if !runnable(stderr, name, model) {
 			return 2
 		}
-		_, sr := reqsched.RunWithSeries(s, tr)
+		_, sr := reqsched.RunWithSeries(reqsched.StrategyByName(name), tr)
 		fmt.Fprintln(stdout, "round,arrived,served,expired,pending,backlog,idle")
 		for _, r := range sr.Rounds {
 			fmt.Fprintf(stdout, "%d,%d,%d,%d,%d,%d,%d\n",
@@ -222,12 +224,7 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-20s %9s %7s %9s %9s %9s %10s %9s\n",
 		"strategy", "served", "lost", "ratio", "latency", "balance", "commRound", "messages")
 	for _, name := range names {
-		s := reqsched.StrategyByName(name)
-		if s == nil {
-			strategySpecError(stderr, name)
-			return 2
-		}
-		res := reqsched.Run(s, tr)
+		res := reqsched.Run(reqsched.StrategyByName(name), tr)
 		fmt.Fprintf(stdout, "%-20s %9d %7d %9s %9.2f %9.3f %10d %9d\n",
 			name, res.Fulfilled, res.Expired,
 			reqsched.FormatRatio(ratioOf(opt, res.Fulfilled), 4), res.MeanLatency(),
@@ -256,14 +253,32 @@ func printLatencyHist(w io.Writer, name string, tr *reqsched.Trace, res *reqsche
 	fmt.Fprintln(w)
 }
 
-// listedNames returns the names of every listed strategy, sorted.
-func listedNames() []string {
+// listedNames returns the names of every listed strategy that can run
+// service model m, sorted.
+func listedNames(m core.ServiceModel) []string {
 	var names []string
-	for name := range reqsched.Strategies() {
-		names = append(names, name)
+	for name, s := range reqsched.Strategies() {
+		if core.CheckModelSupport(s, m) == nil {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
+}
+
+// runnable reports whether spec names a strategy that can run service model
+// m. If not, it prints why on one stderr line.
+func runnable(stderr io.Writer, spec string, m core.ServiceModel) bool {
+	s := reqsched.StrategyByName(spec)
+	if s == nil {
+		strategySpecError(stderr, spec)
+		return false
+	}
+	if err := core.CheckModelSupport(s, m); err != nil {
+		fmt.Fprintln(stderr, err)
+		return false
+	}
+	return true
 }
 
 // ratioOf is OPT/ALG: 1 when both served nothing, +Inf when only the

@@ -257,9 +257,8 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	// stream.
 	serveChecks(add, w)
 
-	// 4e. Policy decomposition: every canonical compose(...) form reproduces
-	// its legacy fused strategy bit for bit, and the SJF queue order relieves
-	// head-of-line blocking in the pinned experiment.
+	// 4e. Policy decomposition: the SJF queue order relieves head-of-line
+	// blocking in the pinned experiment.
 	composeChecks(add)
 
 	// 4f. Reusable resources: hold_squeeze forces the greedy router to
@@ -311,41 +310,12 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// composeChecks verifies the Router x QueueOrder x Admission x Priority
-// decomposition. Each canonical compose(router=X) spec must produce the same
-// schedule — entry for entry — as the fused legacy strategy it decomposes
-// (the axes share the exact routing code, so any divergence is a composition
-// bug, not a tuning difference). The final check pins the decomposition's
-// payoff: on the head-of-line-blocking workload the SJF order rescues
-// tight-window requests that FCFS starves, at no throughput cost.
+// composeChecks pins the payoff of the Router x QueueOrder x Admission x
+// Priority decomposition: on the head-of-line-blocking workload the SJF
+// order rescues tight-window requests that FCFS starves, at no throughput
+// cost. (The paper strategies are themselves canonical compositions, so
+// every other check runs through the composite too.)
 func composeChecks(add func(name string, ok bool, format string, args ...interface{})) {
-	tr := reqsched.Uniform(reqsched.WorkloadConfig{N: 6, D: 4, Rounds: 60, Rate: 10, Seed: 99})
-	sameLog := func(a, b *reqsched.Result) bool {
-		if a.Fulfilled != b.Fulfilled || a.Expired != b.Expired || len(a.Log) != len(b.Log) {
-			return false
-		}
-		for i := range a.Log {
-			if a.Log[i].Req.ID != b.Log[i].Req.ID || a.Log[i].Res != b.Log[i].Res || a.Log[i].Round != b.Log[i].Round {
-				return false
-			}
-		}
-		return true
-	}
-	for _, p := range [][2]string{
-		{"A_fix", "compose,router=fix"},
-		{"A_current", "compose,router=current"},
-		{"A_fix_balance", "compose,router=fix_balance"},
-		{"A_eager", "compose,router=eager"},
-		{"A_balance", "compose,router=balance"},
-		{"first_fit", "compose,router=first_fit"},
-	} {
-		legacy := reqsched.Run(reqsched.StrategyByName(p[0]), tr)
-		comp := reqsched.Run(reqsched.StrategyByName(p[1]), tr)
-		add("compose equiv: "+p[0], sameLog(legacy, comp),
-			"%s served %d, %s served %d, schedules identical=%v",
-			p[0], legacy.Fulfilled, p[1], comp.Fulfilled, sameLog(legacy, comp))
-	}
-
 	mixed := reqsched.MixedDeadlines(reqsched.WorkloadConfig{N: 4, D: 6, Rounds: 120, Rate: 6, Seed: 7})
 	tight := func(res *reqsched.Result) int {
 		c := 0

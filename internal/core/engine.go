@@ -35,7 +35,12 @@ type RoundContext struct {
 	Arrivals []*Request
 	// Pending are all live requests (arrived, unfulfilled, deadline not yet
 	// passed), including Arrivals, in ID order. Some may hold future slots.
-	// Like Arrivals, the slice is only valid during the Round call.
+	// Every engine loop (Stepper, Run, RunAdaptive) builds it as the
+	// surviving requests followed by this round's Arrivals, so it is also
+	// non-decreasing in Arrive: a stable sort by arrival is the identity,
+	// which policy.Composite relies on to pass it to FCFS routers as is.
+	// The slice is the engine's own pending set: strategies must not reorder
+	// or modify it, and like Arrivals it is only valid during the Round call.
 	Pending []*Request
 	// W is the schedule window, positioned at round T.
 	W *Window

@@ -99,3 +99,90 @@ func TestBacklogAdmissionShedsLoad(t *testing.T) {
 		t.Errorf("totals not conserved: %d + %d != %d", strict.Fulfilled, strict.Expired, strict.Requests)
 	}
 }
+
+// TestDefaultComposeIsBalance: the all-defaults composition is A_balance —
+// the paper's best simple strategy is the default composition.
+func TestDefaultComposeIsBalance(t *testing.T) {
+	tr := reqsched.Uniform(reqsched.WorkloadConfig{N: 8, D: 4, Rounds: 80, Rate: 9, Seed: 3})
+	legacy := reqsched.Run(reqsched.StrategyByName("A_balance"), tr)
+	composed := reqsched.Run(reqsched.StrategyByName("compose"), tr)
+	if len(legacy.Log) != len(composed.Log) || legacy.Expired != composed.Expired {
+		t.Fatalf("A_balance served %d (%d expired), compose %d (%d expired)",
+			len(legacy.Log), legacy.Expired, len(composed.Log), composed.Expired)
+	}
+	for i, f := range legacy.Log {
+		if g := composed.Log[i]; f.Req.ID != g.Req.ID || f.Res != g.Res || f.Round != g.Round {
+			t.Fatalf("schedules diverge at entry %d: %+v vs %+v", i, f, g)
+		}
+	}
+}
+
+// spyRouter checks each round's queue against the round context before
+// routing it greedily.
+type spyRouter struct {
+	check func(ctx *core.RoundContext, q []*core.Request)
+}
+
+func (spyRouter) Name() string   { return "spy" }
+func (spyRouter) Begin(int, int) {}
+func (s spyRouter) Route(ctx *core.RoundContext, q []*core.Request) {
+	s.check(ctx, q)
+	policy.GreedyRouter{}.Route(ctx, q)
+}
+
+// TestCompositeQueue pins what the router receives: under FCFS with nothing
+// rejected, ctx.Pending itself; under FCFS with rejections, the admitted
+// subsequence in ID order; under a reordering axis, a sorted copy that
+// leaves ctx.Pending in ID order.
+func TestCompositeQueue(t *testing.T) {
+	tr := reqsched.MixedDeadlines(reqsched.WorkloadConfig{N: 4, D: 6, Rounds: 40, Rate: 8, Seed: 7})
+	idOrder := func(q []*core.Request) bool {
+		for i := 1; i < len(q); i++ {
+			if q[i-1].ID >= q[i].ID {
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range []struct {
+		name  string
+		order policy.QueueOrder
+		admit policy.Admission
+		check func(ctx *core.RoundContext, q []*core.Request) string
+	}{
+		{"fcfs", policy.FCFS{}, policy.AdmitAll{}, func(ctx *core.RoundContext, q []*core.Request) string {
+			if len(q) != len(ctx.Pending) || len(q) > 0 && &q[0] != &ctx.Pending[0] {
+				return "queue is not ctx.Pending"
+			}
+			return ""
+		}},
+		{"fcfs+burst", policy.FCFS{}, &policy.BurstAdmission{K: 1}, func(ctx *core.RoundContext, q []*core.Request) string {
+			if len(q) > len(ctx.Pending) || !idOrder(q) {
+				return "queue is not an ID-ordered subsequence of ctx.Pending"
+			}
+			return ""
+		}},
+		{"sjf", policy.SJF{}, policy.AdmitAll{}, func(ctx *core.RoundContext, q []*core.Request) string {
+			if len(q) != len(ctx.Pending) || !idOrder(ctx.Pending) {
+				return "sorting reordered ctx.Pending"
+			}
+			for i := 1; i < len(q); i++ {
+				if (policy.SJF{}).Less(q[i], q[i-1], 0, 0, ctx.T) {
+					return "queue is not in SJF order"
+				}
+			}
+			return ""
+		}},
+	} {
+		rounds := 0
+		s := policy.NewComposite(c.name, spyRouter{func(ctx *core.RoundContext, q []*core.Request) {
+			rounds++
+			if msg := c.check(ctx, q); msg != "" {
+				t.Fatalf("%s round %d: %s", c.name, ctx.T, msg)
+			}
+		}}, c.order, policy.ConstantPriority{}, c.admit)
+		if res := reqsched.Run(s, tr); res.Fulfilled == 0 || rounds == 0 {
+			t.Fatalf("%s: served %d over %d rounds", c.name, res.Fulfilled, rounds)
+		}
+	}
+}

@@ -3,9 +3,9 @@ package policy
 import "reqsched/internal/core"
 
 // FCFS serves requests in arrival order. On a queue already in ID order this
-// is the identity under a stable sort, which is exactly the fused strategies'
-// contract: requests processed in ID (arrival) order. Every canonical
-// composition uses it.
+// is the identity under a stable sort, so Composite skips the sort and hands
+// the router the engine's pending queue: requests processed in ID (arrival)
+// order. Every canonical composition uses it.
 type FCFS struct{}
 
 // Name implements QueueOrder.

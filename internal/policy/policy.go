@@ -13,29 +13,32 @@
 //     weight, SLO age).
 //
 // The paper fuses the first two decisions into one object; factoring them
-// apart multiplies scenario coverage combinatorially while the canonical
-// compositions (router=X, order=fcfs, admit=always, prio=constant) remain
-// byte-identical to the fused strategies in internal/strategies — a property
-// the equivalence tests and cmd/verify pin.
+// apart multiplies scenario coverage combinatorially. The paper's strategies
+// are the canonical compositions (router=X, order=fcfs, admit=always,
+// prio=constant): internal/strategies builds A_fix, A_current,
+// A_fix_balance, A_eager, A_balance and first_fit exactly that way, so the
+// Table 1 goldens and the adversary tests run through Composite.
 package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"reqsched/internal/core"
 )
 
-// Router decides which resource and window slot serves each request. It is
-// the resource-assignment half of a fused strategy: given the admitted
-// pending queue in service-preference order (most preferred first), it
-// writes assignments into ctx.W.
+// Router decides which resource and window slot serves each request: given
+// the admitted pending queue in service-preference order (most preferred
+// first), it writes assignments into ctx.W.
 //
-// Routers must derive any arrival/backlog split from the requests themselves
-// (r.Arrive == ctx.T identifies this round's arrivals) rather than from
-// ctx.Arrivals, which the admission axis may have filtered. Like strategy
-// instances, routers may carry per-instance scratch and are not safe for
-// concurrent use.
+// The queue is read-only. Under FCFS it is ctx.Pending itself, in ID order
+// (see core.RoundContext.Pending), so a router must not reorder or modify
+// it. Routers must derive any arrival/backlog split from the requests
+// themselves (r.Arrive == ctx.T identifies this round's arrivals) rather
+// than from ctx.Arrivals, which the admission axis may have filtered. Like
+// strategy instances, routers may carry per-instance scratch and are not
+// safe for concurrent use.
 type Router interface {
 	Name() string
 	Begin(n, d int)
@@ -74,15 +77,17 @@ type Admission interface {
 // Composite assembles one component per axis into a core.Strategy. Each
 // round it (1) runs admission over this round's arrivals, (2) builds the
 // admitted queue, (3) scores it under the priority axis, (4) stably sorts it
-// under the queue order, and (5) hands it to the router. All buffers are
-// reused across rounds, so with the always-admit axis the steady-state round
-// allocates nothing beyond what the router itself does.
+// under the queue order, and (5) hands it to the router. Under FCFS steps 3
+// and 4 are skipped, and with nothing rejected step 2 is too. All buffers
+// are reused across rounds, so with the always-admit axis the steady-state
+// round allocates nothing beyond what the router itself does.
 type Composite struct {
 	name   string
 	router Router
 	order  QueueOrder
 	prio   Priority
 	admit  Admission
+	fcfs   bool // order is FCFS: the queue needs no scoring or sort
 
 	queue    []*core.Request
 	keys     []float64
@@ -93,7 +98,8 @@ type Composite struct {
 // NewComposite returns the composition under the given display name (the
 // registry uses the round-trippable spec, e.g. "compose,router=greedy").
 func NewComposite(name string, r Router, o QueueOrder, p Priority, a Admission) *Composite {
-	return &Composite{name: name, router: r, order: o, prio: p, admit: a}
+	_, fcfs := o.(FCFS)
+	return &Composite{name: name, router: r, order: o, prio: p, admit: a, fcfs: fcfs}
 }
 
 // Name implements core.Strategy.
@@ -116,7 +122,10 @@ func (c *Composite) Begin(n, d int) {
 	clear(c.rejected)
 }
 
-// Round implements core.Strategy.
+// Round implements core.Strategy. Under FCFS the queue is ctx.Pending itself
+// (or its admitted subsequence): the engine keeps Pending in ID order, which
+// is arrival order, so the stable sort would be the identity and scoring
+// would feed nothing. Only a reordering axis copies the queue and sorts it.
 func (c *Composite) Round(ctx *core.RoundContext) {
 	for _, r := range ctx.Arrivals {
 		if !c.admit.Admit(ctx, r) {
@@ -126,31 +135,33 @@ func (c *Composite) Round(ctx *core.RoundContext) {
 			c.rejected[r.ID] = r.Deadline()
 		}
 	}
-	q := c.queue[:0]
-	if len(c.rejected) == 0 {
-		q = append(q, ctx.Pending...)
-	} else {
+	q, owned := ctx.Pending, false
+	if len(c.rejected) > 0 {
 		for id, dl := range c.rejected {
 			if dl < ctx.T {
 				delete(c.rejected, id)
 			}
 		}
+		q, owned = c.queue[:0], true
 		for _, r := range ctx.Pending {
 			if _, rej := c.rejected[r.ID]; !rej {
 				q = append(q, r)
 			}
 		}
+		c.queue = q
 	}
-	c.queue = q
-	if cap(c.keys) < len(q) {
-		c.keys = make([]float64, len(q))
+	if !c.fcfs {
+		if !owned {
+			c.queue = append(c.queue[:0], q...)
+			q = c.queue
+		}
+		c.keys = slices.Grow(c.keys[:0], len(q))[:len(q)]
+		for i, r := range q {
+			c.keys[i] = c.prio.Score(r, ctx.T)
+		}
+		c.srt = queueSorter{q: q, keys: c.keys, ord: c.order, t: ctx.T}
+		sort.Stable(&c.srt)
 	}
-	keys := c.keys[:len(q)]
-	for i, r := range q {
-		keys[i] = c.prio.Score(r, ctx.T)
-	}
-	c.srt = queueSorter{q: q, keys: keys, ord: c.order, t: ctx.T}
-	sort.Stable(&c.srt)
 	c.router.Route(ctx, q)
 }
 

@@ -3,8 +3,8 @@ package policy
 import "reqsched/internal/core"
 
 // The paper-strategy routers (fix, current, fix_balance, eager, balance)
-// live in internal/strategies next to the fused bodies they share code with;
-// this file holds the two matching-free baselines. Both assign each request
+// live in internal/strategies next to the matching code they use; this file
+// holds the two matching-free baselines. Both assign each request
 // to its first free slot (alternatives in listed order, earliest round
 // first) and never reschedule — what distinguishes them is who gets to pick
 // first, i.e. the queue order, which makes greedy the cleanest vehicle for
@@ -40,10 +40,10 @@ func (GreedyRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
 	}
 }
 
-// FirstFitRouter is the strategies.FirstFit baseline as a router: each of
-// this round's arrivals goes to its first free slot, misses are never
-// retried. Composed with fcfs/always/constant it reproduces first_fit
-// byte-identically.
+// FirstFitRouter is the first_fit baseline's round body: each of this
+// round's arrivals goes to its first free slot, misses are never retried.
+// Composed with fcfs/always/constant it is first_fit
+// (strategies.NewFirstFit).
 type FirstFitRouter struct{}
 
 // Name implements Router.

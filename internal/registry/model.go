@@ -32,9 +32,14 @@ func ModelOf(p Params) core.ServiceModel {
 // parameter set's service model: scan-based strategies accept any model,
 // matching-based ones accept hold=1 only, and everything else is unit-only
 // (core.CheckModelSupport), so an unsupported "hold=k,cap=c" spec fails at
-// parse time on every frontend instead of panicking inside the engine.
+// parse time on every frontend instead of panicking inside the engine. Every
+// strategy supports the unit model, so that case builds no probe instance.
 func modelCheck(mk func(Params) core.Strategy) func(Params) error {
 	return func(p Params) error {
-		return core.CheckModelSupport(mk(p), ModelOf(p))
+		m := ModelOf(p)
+		if m.IsUnit() {
+			return nil
+		}
+		return core.CheckModelSupport(mk(p), m)
 	}
 }

@@ -74,8 +74,8 @@ func admission(doc string, params []Param, mk func(Params) policy.Admission) {
 func init() {
 	// Routers: the paper strategies' resource-assignment bodies plus the two
 	// matching-free baselines. compose(router=X, order=fcfs, admit=always,
-	// prio=constant) is byte-identical to the fused strategy of the same
-	// body — pinned by the equivalence tests and cmd/verify.
+	// prio=constant) builds the same composite as the paper strategy of the
+	// same body (strategies.NewFix, ...), under its spec as the name.
 	router("A_fix body: keep prior assignments, match arrivals maximally into free slots",
 		func() policy.Router { return strategies.NewFixRouter() })
 	router("A_current body: maximum matching on the current round's slots only",
@@ -92,7 +92,7 @@ func init() {
 		func() policy.Router { return policy.FirstFitRouter{} })
 
 	// Queue orders.
-	order("first come, first served: arrival (ID) order — the fused strategies' order",
+	order("first come, first served: arrival (ID) order — the paper strategies' order",
 		func() policy.QueueOrder { return policy.FCFS{} })
 	order("shortest job first: tightest deadline window first (relieves head-of-line blocking)",
 		func() policy.QueueOrder { return policy.SJF{} })

@@ -4,32 +4,15 @@ import (
 	"math/rand"
 
 	"reqsched/internal/core"
+	"reqsched/internal/policy"
 )
 
-// FirstFit is the simplest sensible baseline: each arrival is assigned
-// immediately to its first free slot (alternatives in listed order, earliest
-// round first) and never rescheduled. It is a maximal-matching strategy like
-// A_fix but without the "maximum over the new requests" guarantee, so it is
-// strictly weaker; benchmarks use it as the floor.
-type FirstFit struct{}
-
-// NewFirstFit returns the first-fit baseline.
-func NewFirstFit() *FirstFit { return &FirstFit{} }
-
-// Name implements core.Strategy.
-func (*FirstFit) Name() string { return "first_fit" }
-
-// Begin implements core.Strategy.
-func (*FirstFit) Begin(n, d int) {}
-
-// Round implements core.Strategy.
-func (*FirstFit) Round(ctx *core.RoundContext) {
-	for _, r := range ctx.Arrivals {
-		if res, round, ok := ctx.W.FirstFreeSlot(r); ok {
-			ctx.W.Assign(r, res, round)
-		}
-	}
-}
+// NewFirstFit returns the simplest sensible baseline: each arrival is
+// assigned immediately to its first free slot (alternatives in listed order,
+// earliest round first) and never rescheduled. It is a maximal-matching
+// strategy like A_fix but without the "maximum over the new requests"
+// guarantee, so it is strictly weaker; benchmarks use it as the floor.
+func NewFirstFit() *policy.Composite { return canonical("first_fit", policy.FirstFitRouter{}) }
 
 // RandomFit assigns each arrival to a uniformly random free slot in its
 // window, never rescheduling. Seeded and deterministic per run; used in the

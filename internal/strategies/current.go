@@ -1,40 +1,40 @@
 package strategies
 
-import "reqsched/internal/core"
+import (
+	"reqsched/internal/core"
+	"reqsched/internal/policy"
+)
 
-// Current implements A_current: every round, a maximum matching is computed
+// NewCurrent returns A_current: every round, a maximum matching is computed
 // between all live unfulfilled requests and the n time slots of the *current*
 // round only — no forward planning at all. Pending requests keep competing
 // every round until served or expired. Competitive ratio between e/(e-1)
 // (as d grows, Theorem 2.2) and 2 - 1/d (Theorem 3.3).
-type Current struct {
-	sc roundScratch
-}
+func NewCurrent() *policy.Composite { return canonical("A_current", NewCurrentRouter()) }
 
-// NewCurrent returns the A_current strategy.
-func NewCurrent() *Current { return &Current{} }
+// CurrentRouter is the A_current round body: maximum matching into the
+// current round's slots only, no forward planning.
+type CurrentRouter struct{ sc roundScratch }
 
-// Name implements core.Strategy.
-func (*Current) Name() string { return "A_current" }
+// NewCurrentRouter returns the current router.
+func NewCurrentRouter() *CurrentRouter { return &CurrentRouter{} }
 
-// Begin implements core.Strategy.
-func (*Current) Begin(n, d int) {}
+// Name implements policy.Router.
+func (*CurrentRouter) Name() string { return "current" }
 
-// Round implements core.Strategy.
-func (s *Current) Round(ctx *core.RoundContext) {
-	routeCurrent(ctx, ctx.Pending, &s.sc)
-}
+// Begin implements policy.Router.
+func (*CurrentRouter) Begin(n, d int) {}
 
-// routeCurrent is the A_current round body over an arbitrary queue: the
-// composable router form. A_current never pre-assigns, so every queued
-// request is unassigned.
-func routeCurrent(ctx *core.RoundContext, queue []*core.Request, sc *roundScratch) {
+// Route implements policy.Router. A_current never pre-assigns, so every
+// queued request is unassigned.
+func (r *CurrentRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
+	sc := &r.sc
 	wg := buildCurrentRoundGraph(sc, ctx.W, queue)
 	m := sc.emptyMatching()
 	order := sc.identOrder(len(queue))
-	// Maximum matching with requests considered in queue order — ID order in
-	// the fused strategy, so older requests (lower IDs) are matched first:
-	// the implementation the Theorem 2.2 adversary steers group by group.
+	// Maximum matching with requests considered in queue order — ID order
+	// under FCFS, so older requests (lower IDs) are matched first: the
+	// implementation the Theorem 2.2 adversary steers group by group.
 	sc.ms.ExtendFromLeft(wg.g, m, order)
 	wg.apply(ctx.W, m)
 }

@@ -3,9 +3,10 @@ package strategies
 import (
 	"reqsched/internal/core"
 	"reqsched/internal/matching"
+	"reqsched/internal/policy"
 )
 
-// Eager implements A_eager: every round it recomputes a maximum matching over
+// NewEager returns A_eager: every round it recomputes a maximum matching over
 // the whole known subgraph G_t subject to (1) the number of requests served
 // in the current round is maximal and (2) every previously scheduled request
 // remains scheduled (it may move to a different slot). Competitive ratio
@@ -17,56 +18,60 @@ import (
 // then restore coverage of previously scheduled requests via the constructive
 // Mendelsohn–Dulmage merge, which keeps the matched slot set (and hence both
 // optimality properties) intact.
-type Eager struct {
-	sc roundScratch
+func NewEager() *policy.Composite { return canonical("A_eager", NewEagerRouter()) }
+
+// EagerRouter is the A_eager round body: recompute a maximum matching
+// maximizing current-round service, keeping scheduled requests scheduled.
+type EagerRouter struct{ sc roundScratch }
+
+// NewEagerRouter returns the eager router.
+func NewEagerRouter() *EagerRouter { return &EagerRouter{} }
+
+// Name implements policy.Router.
+func (*EagerRouter) Name() string { return "eager" }
+
+// Begin implements policy.Router.
+func (*EagerRouter) Begin(n, d int) {}
+
+// Route implements policy.Router.
+func (r *EagerRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
+	routeReschedule(ctx, queue, 2, &r.sc)
 }
 
-// NewEager returns the A_eager strategy.
-func NewEager() *Eager { return &Eager{} }
-
-// Name implements core.Strategy.
-func (*Eager) Name() string { return "A_eager" }
-
-// Begin implements core.Strategy.
-func (*Eager) Begin(n, d int) {}
-
-// Round implements core.Strategy.
-func (s *Eager) Round(ctx *core.RoundContext) {
-	routeReschedule(ctx, ctx.Pending, 2, &s.sc)
-}
-
-// Balance implements A_balance: like A_eager it recomputes over the whole
+// NewBalance returns A_balance: like A_eager it recomputes over the whole
 // subgraph and keeps previously scheduled requests scheduled, but it picks
 // the maximum matching maximizing F = sum_j X_{t+j}(n+1)^(d-j), i.e. it fills
 // rounds lexicographically from the current one outward. The paper's best
 // simple strategy: ratio between (5d+2)/(4d+1) and 6(d-1)/(4d-3)
 // (Theorems 2.5 and 3.6).
-type Balance struct {
-	sc roundScratch
+func NewBalance() *policy.Composite { return canonical("A_balance", NewBalanceRouter()) }
+
+// BalanceRouter is the A_balance round body: recompute the F-maximal
+// maximum matching, keeping scheduled requests scheduled.
+type BalanceRouter struct{ sc roundScratch }
+
+// NewBalanceRouter returns the balance router.
+func NewBalanceRouter() *BalanceRouter { return &BalanceRouter{} }
+
+// Name implements policy.Router.
+func (*BalanceRouter) Name() string { return "balance" }
+
+// Begin implements policy.Router.
+func (*BalanceRouter) Begin(n, d int) {}
+
+// Route implements policy.Router.
+func (r *BalanceRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
+	routeReschedule(ctx, queue, 0, &r.sc)
 }
 
-// NewBalance returns the A_balance strategy.
-func NewBalance() *Balance { return &Balance{} }
-
-// Name implements core.Strategy.
-func (*Balance) Name() string { return "A_balance" }
-
-// Begin implements core.Strategy.
-func (*Balance) Begin(n, d int) {}
-
-// Round implements core.Strategy.
-func (s *Balance) Round(ctx *core.RoundContext) {
-	routeReschedule(ctx, ctx.Pending, 0, &s.sc)
-}
-
-// routeReschedule is the shared A_eager / A_balance round body over an
-// arbitrary queue: the composable router form. maxClasses caps the slot
-// weight classes: 2 for A_eager (current round vs later), 0 for A_balance
-// (0 means "one class per window round": full lexicographic F). All graph,
-// matching and snapshot storage comes from sc and is reused across rounds.
-// The queue order becomes the left-vertex order of the matching graph, so it
-// steers both the augmenting searches and the PreferLowAtClass exchange
-// (which requests are served in the current round).
+// routeReschedule is the shared A_eager / A_balance round body. maxClasses
+// caps the slot weight classes: 2 for A_eager (current round vs later), 0
+// for A_balance (0 means "one class per window round": full lexicographic
+// F). All graph, matching and snapshot storage comes from sc and is reused
+// across rounds. The queue order becomes the left-vertex order of the
+// matching graph, so it steers both the augmenting searches and the
+// PreferLowAtClass exchange (which requests are served in the current
+// round).
 func routeReschedule(ctx *core.RoundContext, queue []*core.Request, maxClasses int, sc *roundScratch) {
 	reqs := queue
 	sc.snap = ctx.W.AppendAssignments(sc.snap[:0])

@@ -65,7 +65,7 @@ func TestGlobalStrategiesHandleCAlternatives(t *testing.T) {
 	for _, c := range []int{1, 2, 3, 4} {
 		tr := workload.CChoice(workload.Config{N: 6, D: 3, Rounds: 30, Rate: 9, Seed: 20}, c)
 		opt := offline.Optimum(tr)
-		for _, s := range Global() {
+		for _, s := range global() {
 			res := core.Run(s, tr)
 			if err := core.ValidateLog(tr, res.Log); err != nil {
 				t.Fatalf("%s c=%d: %v", s.Name(), c, err)
@@ -191,7 +191,7 @@ func TestAllStrategiesHandleDEqualsOne(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 	}
-	for _, s := range Global() {
+	for _, s := range global() {
 		res := core.Run(s, tr)
 		if res.Fulfilled != opt {
 			t.Fatalf("%s: %d != %d (per-round maximum matching at d=1)",
@@ -209,7 +209,7 @@ func TestStrategiesOnSingleResource(t *testing.T) {
 	}
 	tr := b.Build()
 	opt := offline.Optimum(tr)
-	for _, s := range Global() {
+	for _, s := range global() {
 		res := core.Run(s, tr)
 		if err := core.ValidateLog(tr, res.Log); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

@@ -2,37 +2,34 @@ package strategies
 
 import (
 	"reqsched/internal/core"
+	"reqsched/internal/policy"
 )
 
-// Fix implements A_fix: every round, the previously computed assignments are
+// NewFix returns A_fix: every round, the previously computed assignments are
 // kept unchanged (no rescheduling, ever), and a maximum number of the
 // requests injected this round is matched into the remaining free slots,
 // yielding a maximal matching on G_t. Competitive ratio exactly 2 - 1/d
 // (Theorems 2.1 and 3.3).
-type Fix struct {
-	sc roundScratch
-}
+func NewFix() *policy.Composite { return canonical("A_fix", NewFixRouter()) }
 
-// NewFix returns the A_fix strategy.
-func NewFix() *Fix { return &Fix{} }
+// FixRouter is the A_fix round body: keep all previous assignments, match
+// this round's arrivals maximally into the free slots.
+type FixRouter struct{ sc roundScratch }
 
-// Name implements core.Strategy.
-func (*Fix) Name() string { return "A_fix" }
+// NewFixRouter returns the fix router.
+func NewFixRouter() *FixRouter { return &FixRouter{} }
 
-// Begin implements core.Strategy.
-func (*Fix) Begin(n, d int) {}
+// Name implements policy.Router.
+func (*FixRouter) Name() string { return "fix" }
 
-// Round implements core.Strategy.
-func (s *Fix) Round(ctx *core.RoundContext) {
-	routeFix(ctx, ctx.Pending, &s.sc)
-}
+// Begin implements policy.Router.
+func (*FixRouter) Begin(n, d int) {}
 
-// routeFix is the A_fix round body over an arbitrary queue: the composable
-// router form. Arrivals are identified by arrival round rather than taken
-// from ctx.Arrivals so that a composed admission axis can filter and an
-// order axis reorder the queue; on queue == ctx.Pending this is exactly the
-// fused A_fix round.
-func routeFix(ctx *core.RoundContext, queue []*core.Request, sc *roundScratch) {
+// Route implements policy.Router. Arrivals are identified by arrival round
+// rather than taken from ctx.Arrivals so that a composed admission axis can
+// filter and an order axis reorder the queue.
+func (f *FixRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
+	sc := &f.sc
 	// Candidates: this round's arrivals first (their count is maximized),
 	// then any older unassigned requests (for maximality of the matching on
 	// G_t; with no rescheduling their slots can normally never free up, but
@@ -61,33 +58,32 @@ func routeFix(ctx *core.RoundContext, queue []*core.Request, sc *roundScratch) {
 	wg.apply(ctx.W, m)
 }
 
-// FixBalance implements A_fix_balance: like A_fix it never reschedules, but
+// NewFixBalance returns A_fix_balance: like A_fix it never reschedules, but
 // among the admissible extensions it maximizes F = sum_j X_{t+j}(n+1)^(d-j) —
 // lexicographically filling the earliest rounds first, which both serves
 // requests as early as possible and balances load across resources.
 // Competitive ratio between 3d/(2d+2) and 2 - 2/d for d > 3 (Theorems 2.3
 // and 3.4).
-type FixBalance struct {
-	sc roundScratch
+func NewFixBalance() *policy.Composite {
+	return canonical("A_fix_balance", NewFixBalanceRouter())
 }
 
-// NewFixBalance returns the A_fix_balance strategy.
-func NewFixBalance() *FixBalance { return &FixBalance{} }
+// FixBalanceRouter is the A_fix_balance round body: no rescheduling,
+// F-maximal extension over the free slots.
+type FixBalanceRouter struct{ sc roundScratch }
 
-// Name implements core.Strategy.
-func (*FixBalance) Name() string { return "A_fix_balance" }
+// NewFixBalanceRouter returns the fix_balance router.
+func NewFixBalanceRouter() *FixBalanceRouter { return &FixBalanceRouter{} }
 
-// Begin implements core.Strategy.
-func (*FixBalance) Begin(n, d int) {}
+// Name implements policy.Router.
+func (*FixBalanceRouter) Name() string { return "fix_balance" }
 
-// Round implements core.Strategy.
-func (s *FixBalance) Round(ctx *core.RoundContext) {
-	routeFixBalance(ctx, ctx.Pending, &s.sc)
-}
+// Begin implements policy.Router.
+func (*FixBalanceRouter) Begin(n, d int) {}
 
-// routeFixBalance is the A_fix_balance round body over an arbitrary queue:
-// the composable router form.
-func routeFixBalance(ctx *core.RoundContext, queue []*core.Request, sc *roundScratch) {
+// Route implements policy.Router.
+func (f *FixBalanceRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
+	sc := &f.sc
 	reqs := sc.reqs[:0]
 	for _, r := range queue {
 		if !ctx.W.Assigned(r) {

@@ -31,9 +31,6 @@ func holdOne(m core.ServiceModel) error {
 	return nil
 }
 
-// SupportsModel implements core.ModelSupporter: first-fit scans free slots.
-func (*FirstFit) SupportsModel(core.ServiceModel) error { return nil }
-
 // SupportsModel implements core.ModelSupporter: random-fit scans free slots.
 func (*RandomFit) SupportsModel(core.ServiceModel) error { return nil }
 
@@ -46,28 +43,13 @@ func (*Ranking) SupportsModel(core.ServiceModel) error { return nil }
 func (*EDF) SupportsModel(core.ServiceModel) error { return nil }
 
 // SupportsModel implements core.ModelSupporter.
-func (*Fix) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
-
-// SupportsModel implements core.ModelSupporter.
-func (*Current) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
-
-// SupportsModel implements core.ModelSupporter.
-func (*FixBalance) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
-
-// SupportsModel implements core.ModelSupporter.
-func (*Eager) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
-
-// SupportsModel implements core.ModelSupporter.
-func (*Balance) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
-
-// SupportsModel implements core.ModelSupporter.
 func (*FixWeighted) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
 
 // SupportsModel implements core.ModelSupporter.
 func (*EagerWeighted) SupportsModel(m core.ServiceModel) error { return holdOne(m) }
 
-// SupportsModel on the router forms mirrors the fused strategies; the policy
-// Composite delegates its own support decision to its router.
+// The policy Composite delegates its own support decision to its router, so
+// these gates are the paper strategies' gates.
 
 // SupportsModel implements the policy router support check.
 func (*FixRouter) SupportsModel(m core.ServiceModel) error { return holdOne(m) }

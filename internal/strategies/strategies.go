@@ -14,38 +14,19 @@
 // executions the lower-bound proofs describe, while the upper bounds of
 // Section 3 hold for every member of the class — and are property-tested
 // against this one.
+//
+// A_fix, A_current, A_fix_balance, A_eager, A_balance and first_fit are each
+// one policy.Router (FixRouter, ..., policy.FirstFitRouter) run through its
+// canonical policy.Composite: FCFS order, constant priority, admit every
+// arrival. The composite hands the router the engine's pending queue
+// unchanged, so the router sees requests in ID order.
 package strategies
 
-import "reqsched/internal/core"
+import "reqsched/internal/policy"
 
-// New returns a fresh instance of every strategy in the package, keyed by
-// name. Tests and the CLI tools iterate over this set.
-func New() map[string]core.Strategy {
-	list := []core.Strategy{
-		NewFix(),
-		NewCurrent(),
-		NewFixBalance(),
-		NewEager(),
-		NewBalance(),
-		NewEDF(),
-		NewEDFCoordinated(),
-		NewFirstFit(),
-	}
-	m := make(map[string]core.Strategy, len(list))
-	for _, s := range list {
-		m[s.Name()] = s
-	}
-	return m
-}
-
-// Global returns fresh instances of the five global strategies of Table 1,
-// in the table's row order.
-func Global() []core.Strategy {
-	return []core.Strategy{
-		NewFix(),
-		NewCurrent(),
-		NewFixBalance(),
-		NewEager(),
-		NewBalance(),
-	}
+// canonical composes router r with FCFS order, constant priority and
+// admit-all under the display name name: the paper's model, in which every
+// arrival is admitted and the router sees the pending queue in ID order.
+func canonical(name string, r policy.Router) *policy.Composite {
+	return policy.NewComposite(name, r, policy.FCFS{}, policy.ConstantPriority{}, policy.AdmitAll{})
 }

@@ -19,15 +19,16 @@ func upperBound(name string, d int) float64 {
 	return b
 }
 
-// allStrategies returns every strategy under test, including the seeded
-// random baseline.
+// global returns fresh instances of the five global strategies of Table 1,
+// in the table's row order.
+func global() []core.Strategy {
+	return []core.Strategy{NewFix(), NewCurrent(), NewFixBalance(), NewEager(), NewBalance()}
+}
+
+// allStrategies returns every strategy of the package under test, including
+// the seeded random baseline.
 func allStrategies() []core.Strategy {
-	var out []core.Strategy
-	for _, s := range New() {
-		out = append(out, s)
-	}
-	out = append(out, NewRandomFit(7))
-	return out
+	return append(global(), NewEDF(), NewEDFCoordinated(), NewFirstFit(), NewRandomFit(7))
 }
 
 // traces used across the validity and bound tests.
@@ -315,23 +316,15 @@ func TestBalanceAtLeastEagerOnSmoothLoad(t *testing.T) {
 }
 
 func TestRegistryNamesUnique(t *testing.T) {
-	m := New()
-	if len(m) != 8 {
-		t.Fatalf("registry has %d strategies", len(m))
-	}
-	for name, s := range m {
-		if s.Name() != name {
-			t.Fatalf("registry key %q != name %q", name, s.Name())
+	seen := map[string]bool{}
+	for _, s := range allStrategies() {
+		if seen[s.Name()] {
+			t.Fatalf("strategy name %q used twice", s.Name())
 		}
+		seen[s.Name()] = true
 	}
-	if _, ok := m["A_fix"]; !ok {
-		t.Fatal("A_fix missing from New()")
-	}
-	if _, ok := m["nope"]; ok {
-		t.Fatal("unexpected strategy in New()")
-	}
-	if len(Global()) != 5 {
-		t.Fatal("Global() should list the five Table 1 strategies")
+	if len(seen) != 9 || !seen["A_fix"] || !seen["first_fit"] {
+		t.Fatalf("strategies under test: %v", seen)
 	}
 }
 
@@ -342,7 +335,7 @@ func TestStrategiesScaleSanity(t *testing.T) {
 	// A larger run to catch accidental quadratic blowups and index bugs at
 	// scale; validity checked end to end.
 	tr := workload.Uniform(workload.Config{N: 20, D: 6, Rounds: 200, Rate: 25, Seed: 77})
-	for _, s := range Global() {
+	for _, s := range global() {
 		res := core.Run(s, tr)
 		if err := core.ValidateLog(tr, res.Log); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

@@ -259,7 +259,9 @@ func Strategies() map[string]Strategy {
 }
 
 // GlobalStrategies returns the five Table 1 strategies in row order.
-func GlobalStrategies() []Strategy { return strategies.Global() }
+func GlobalStrategies() []Strategy {
+	return []Strategy{NewAFix(), NewACurrent(), NewAFixBalance(), NewAEager(), NewABalance()}
+}
 
 // StrategyByName returns a fresh strategy by registry spec — a name,
 // optionally followed by ",key=value" parameters, e.g. "A_balance" or

@@ -226,6 +226,30 @@ func TestSchedsimRejectsUnsupportedModel(t *testing.T) {
 	}
 }
 
+// TestTracegenRejectsUnsupportedModel: a valid trace under a service model
+// the strategy cannot serve is a usage error, as in schedsim (exit 2, one
+// stderr line naming the model), not an invalid trace; a supporting strategy
+// still runs it.
+func TestTracegenRejectsUnsupportedModel(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "reusable.json")
+	gen := run(t, TracegenMain, "gen", "-workload", "reusable", "-hold", "2", "-cap", "2", "-rounds", "20")
+	if err := os.WriteFile(in, []byte(gen), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"run", "show"} {
+		var out, errb bytes.Buffer
+		code := TracegenMain([]string{sub, "-in", in, "-strategy", "A_balance"}, &out, &errb)
+		msg := errb.String()
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 ||
+			!strings.Contains(msg, "hold=1 only") || strings.Contains(msg, "invalid trace") {
+			t.Errorf("tracegen %s: exit %d, stdout %q, stderr %q; want exit 2 and one line naming the model", sub, code, out.String(), msg)
+		}
+		if out := run(t, TracegenMain, sub, "-in", in, "-strategy", "first_fit"); out == "" {
+			t.Errorf("tracegen %s -strategy first_fit printed nothing", sub)
+		}
+	}
+}
+
 func TestPaperGolden(t *testing.T) {
 	for _, w := range workerCounts {
 		requireGolden(t, "paper_quick.txt", run(t, PaperMain, "-quick", "-workers", w), "-workers", w)

@@ -178,7 +178,7 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		names = listedNames(model)
 	}
 	for _, name := range names {
-		if !runnable(stderr, name, model) {
+		if runnable(stderr, name, model) == nil {
 			return 2
 		}
 	}
@@ -204,10 +204,11 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		if name == "" {
 			name = "A_balance"
 		}
-		if !runnable(stderr, name, model) {
+		s := runnable(stderr, name, model)
+		if s == nil {
 			return 2
 		}
-		_, sr := reqsched.RunWithSeries(reqsched.StrategyByName(name), tr)
+		_, sr := reqsched.RunWithSeries(s, tr)
 		fmt.Fprintln(stdout, "round,arrived,served,expired,pending,backlog,idle")
 		for _, r := range sr.Rounds {
 			fmt.Fprintf(stdout, "%d,%d,%d,%d,%d,%d,%d\n",
@@ -266,19 +267,20 @@ func listedNames(m core.ServiceModel) []string {
 	return names
 }
 
-// runnable reports whether spec names a strategy that can run service model
-// m. If not, it prints why on one stderr line.
-func runnable(stderr io.Writer, spec string, m core.ServiceModel) bool {
+// runnable resolves spec to a strategy that can run service model m. If
+// spec is unknown or the strategy cannot serve m, it prints why on one stderr
+// line and returns nil: both are usage errors (exit 2).
+func runnable(stderr io.Writer, spec string, m core.ServiceModel) reqsched.Strategy {
 	s := reqsched.StrategyByName(spec)
 	if s == nil {
 		strategySpecError(stderr, spec)
-		return false
+		return nil
 	}
 	if err := core.CheckModelSupport(s, m); err != nil {
 		fmt.Fprintln(stderr, err)
-		return false
+		return nil
 	}
-	return true
+	return s
 }
 
 // ratioOf is OPT/ALG: 1 when both served nothing, +Inf when only the

@@ -76,9 +76,8 @@ func tracegenShow(args []string, stdout, stderr io.Writer) int {
 	if tr == nil {
 		return code
 	}
-	s := reqsched.StrategyByName(*name)
+	s := runnable(stderr, *name, tr.Model)
 	if s == nil {
-		strategySpecError(stderr, *name)
 		return 2
 	}
 	res, err := reqsched.RunChecked(s, tr)
@@ -247,9 +246,8 @@ func tracegenRun(args []string, stdout, stderr io.Writer) int {
 	if tr == nil {
 		return code
 	}
-	s := reqsched.StrategyByName(*name)
+	s := runnable(stderr, *name, tr.Model)
 	if s == nil {
-		strategySpecError(stderr, *name)
 		return 2
 	}
 	res, err := reqsched.RunChecked(s, tr)

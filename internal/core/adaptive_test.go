@@ -4,68 +4,28 @@ import (
 	"testing"
 )
 
-// replaySource replays a fixed trace through the adaptive interface; running
-// a strategy against it must reproduce core.Run exactly. This pins the two
-// engines to identical semantics (expiry order, pending order, service).
-type replaySource struct {
-	tr *Trace
+// ReplaySource replays a fixed trace through the adaptive interface; running
+// a strategy against it must reproduce core.Run exactly. It is exported for
+// the external test package (adaptive_replay_test.go), which runs the real
+// strategies through both entry points.
+type ReplaySource struct {
+	Tr *Trace
 }
 
-func (r *replaySource) N() int { return r.tr.N }
-func (r *replaySource) D() int { return r.tr.D }
-func (r *replaySource) Done(t int) bool {
-	return t >= len(r.tr.Arrivals)
+func (r *ReplaySource) N() int { return r.Tr.N }
+func (r *ReplaySource) D() int { return r.Tr.D }
+func (r *ReplaySource) Done(t int) bool {
+	return t >= len(r.Tr.Arrivals)
 }
-func (r *replaySource) Next(t int, isServed func(int) bool) [][]int {
-	if t >= len(r.tr.Arrivals) {
+func (r *ReplaySource) Next(t int, isServed func(int) bool) [][]int {
+	if t >= len(r.Tr.Arrivals) {
 		return nil
 	}
 	var specs [][]int
-	for i := range r.tr.Arrivals[t] {
-		specs = append(specs, r.tr.Arrivals[t][i].Alts)
+	for i := range r.Tr.Arrivals[t] {
+		specs = append(specs, r.Tr.Arrivals[t][i].Alts)
 	}
 	return specs
-}
-
-// uniformTrace builds a deterministic trace with uniform windows (the
-// adaptive interface injects with the default window only).
-func uniformTrace() *Trace {
-	b := NewBuilder(4, 3)
-	pattern := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 3}}
-	for t := 0; t < 20; t++ {
-		for i := 0; i <= t%4; i++ {
-			p := pattern[(t+i)%len(pattern)]
-			b.Add(t, p[0], p[1])
-		}
-	}
-	return b.Build()
-}
-
-func TestRunAdaptiveReplayMatchesRun(t *testing.T) {
-	tr := uniformTrace()
-	direct := Run(greedyFirstFit{}, tr)
-	adaptive, genTr := RunAdaptive(greedyFirstFit{}, &replaySource{tr: tr})
-
-	if direct.Fulfilled != adaptive.Fulfilled || direct.Expired != adaptive.Expired {
-		t.Fatalf("served %d/%d vs %d/%d", direct.Fulfilled, direct.Expired,
-			adaptive.Fulfilled, adaptive.Expired)
-	}
-	if len(direct.Log) != len(adaptive.Log) {
-		t.Fatalf("log lengths differ: %d vs %d", len(direct.Log), len(adaptive.Log))
-	}
-	for i := range direct.Log {
-		a, b := direct.Log[i], adaptive.Log[i]
-		if a.Req.ID != b.Req.ID || a.Res != b.Res || a.Round != b.Round {
-			t.Fatalf("log entry %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	// The regenerated trace must be equivalent to the original.
-	if err := genTr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if genTr.NumRequests() != tr.NumRequests() {
-		t.Fatalf("regenerated trace has %d requests, want %d", genTr.NumRequests(), tr.NumRequests())
-	}
 }
 
 func TestRunAdaptiveObservesService(t *testing.T) {

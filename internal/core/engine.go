@@ -35,8 +35,8 @@ type RoundContext struct {
 	Arrivals []*Request
 	// Pending are all live requests (arrived, unfulfilled, deadline not yet
 	// passed), including Arrivals, in ID order. Some may hold future slots.
-	// Every engine loop (Stepper, Run, RunAdaptive) builds it as the
-	// surviving requests followed by this round's Arrivals, so it is also
+	// The engine (Stepper, under Run, RunAdaptive and serve) builds it as
+	// the surviving requests followed by this round's Arrivals, so it is also
 	// non-decreasing in Arrive: a stable sort by arrival is the identity,
 	// which policy.Composite relies on to pass it to FCFS routers as is.
 	// The slice is the engine's own pending set: strategies must not reorder

@@ -74,8 +74,8 @@ func orderTrace(seed int64, n int, m ServiceModel, mixed bool) *Trace {
 }
 
 // TestPendingIsInIDAndArrivalOrder pins the RoundContext.Pending order on
-// every engine loop: Run (the Stepper every batch and serve path steps)
-// under hold 1-3 x cap 1-2, and RunAdaptive, which runs the unit model only.
+// every entry point to the Stepper: Run under hold 1-3 x cap 1-2, and
+// RunAdaptive, which runs the unit model only.
 func TestPendingIsInIDAndArrivalOrder(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for hold := 1; hold <= 3; hold++ {
@@ -93,10 +93,10 @@ func TestPendingIsInIDAndArrivalOrder(t *testing.T) {
 				}
 			}
 		}
-		// The adaptive engine injects with the default window only.
+		// An adaptive source injects with the default window only.
 		tr := orderTrace(seed, 4, UnitModel(), false)
 		p := &orderProbe{t: t, label: fmt.Sprintf("RunAdaptive seed=%d", seed)}
-		res, _ := RunAdaptive(p, &replaySource{tr: tr})
+		res, _ := RunAdaptive(p, &ReplaySource{Tr: tr})
 		if p.rounds == 0 || res.Expired == 0 || res.Fulfilled == 0 {
 			t.Fatalf("%s: %d rounds, %d served, %d expired: the run does not exercise expiry",
 				p.label, p.rounds, res.Fulfilled, res.Expired)

@@ -4,12 +4,12 @@ import "fmt"
 
 // Stepper drives the round engine one round at a time: expire, admit this
 // round's arrivals, let the strategy (re)compute the schedule, serve the
-// current row, slide the window. It is the single engine body under Run /
-// RunChecked / RunWithSeries (which feed it a materialized trace round by
-// round) and the live serving daemon (which feeds it arrivals as they come in
-// off the network). Both paths therefore produce bit-identical schedules on
-// the same arrival sequence — the property the serve-mode equivalence checks
-// pin.
+// current row, slide the window. It is the only engine body: Run /
+// RunChecked / RunWithSeries feed it a materialized trace round by round,
+// RunAdaptiveObserved feeds it the rows an adaptive adversary generates, and
+// the live serving daemon feeds it arrivals as they come in off the network.
+// All of them therefore produce bit-identical schedules on the same arrival
+// sequence — the property the serve-mode equivalence checks pin.
 //
 // All per-round scratch — the pending buffer, the round context — is
 // allocated once and reused, so a simulation's allocation cost is dominated
@@ -133,20 +133,23 @@ func (st *Stepper) Step(arrivals []*Request) RoundStats {
 
 	// 4. Serve the current row. A pending request is served now exactly when
 	// the row holds it in a cell of one of its alternatives, so pending is
-	// filtered against the row before the row is released. Under the unit
-	// model the served slot is released immediately (Unassign); under a
-	// general model the storage cell is consumed but the occupancy of the
-	// hold span stays busy until those rounds slide past the window.
+	// filtered against the row before the row is released. Serving consumes
+	// the storage cell; under a general model the occupancy of the hold span
+	// stays busy until those rounds slide past the window (under the unit
+	// model there is no occupancy, and consuming is releasing the slot).
 	st.pending = st.w.dropHeldAt(t, st.pending)
 	served := 0
-	if st.w.occ == nil {
-		for i := 0; i < st.n; i++ {
-			r := st.w.At(i, t)
+	capc := st.w.model.Cap
+	row := st.w.rows[t%st.w.depth]
+	for i := 0; i < st.n; i++ {
+		started := 0
+		for c := i * capc; c < (i+1)*capc; c++ {
+			r := row[c]
 			if r == nil {
-				rs.Idle++
 				continue
 			}
-			st.w.Unassign(r)
+			st.w.consume(r)
+			started++
 			st.res.Fulfilled++
 			st.res.WeightFulfilled += r.Weight()
 			st.res.LatencySum += t - r.Arrive
@@ -160,34 +163,8 @@ func (st *Stepper) Step(arrivals []*Request) RoundStats {
 			}
 			served++
 		}
-	} else {
-		capc := st.w.model.Cap
-		row := st.w.rows[t%st.w.depth]
-		for i := 0; i < st.n; i++ {
-			started := 0
-			for c := i * capc; c < (i+1)*capc; c++ {
-				r := row[c]
-				if r == nil {
-					continue
-				}
-				st.w.consume(r)
-				started++
-				st.res.Fulfilled++
-				st.res.WeightFulfilled += r.Weight()
-				st.res.LatencySum += t - r.Arrive
-				st.res.PerResource[i]++
-				f := Fulfillment{Req: r, Res: i, Round: t}
-				if st.KeepLog {
-					st.res.Log = append(st.res.Log, f)
-				}
-				if st.Observe != nil {
-					st.Observe(f)
-				}
-				served++
-			}
-			if started == 0 {
-				rs.Idle++
-			}
+		if started == 0 {
+			rs.Idle++
 		}
 	}
 	rs.Served = served

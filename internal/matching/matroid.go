@@ -134,98 +134,6 @@ func CoverLeft(g *Graph, m, cover *Matching) {
 	}
 }
 
-// ImproveEarliness applies cardinality-preserving alternating-path exchanges
-// until the per-class matched counts of m are locally lexicographically
-// optimal: for each class c in ascending order, while some free right vertex
-// of class c can reach (via an alternating path that starts with a non-matching
-// edge) a matched right vertex of a strictly later class, the path is flipped,
-// matching the class-c vertex and freeing the later one. The matched left set
-// is unchanged, so previously scheduled requests stay scheduled.
-//
-// This is the "incremental" route to the balance objective (start from last
-// round's schedule, extend, exchange); the from-scratch route is LexMax +
-// CoverLeft. Tests assert both produce identical class-count vectors.
-func ImproveEarliness(g *Graph, m *Matching, classOf []int32) int {
-	if len(classOf) != g.NRight() {
-		panic(fmt.Sprintf("matching: classOf length %d != nRight %d", len(classOf), g.NRight()))
-	}
-	order := rightsByClass(classOf)
-	flips := 0
-	parentL := make([]int32, g.NLeft())  // right vertex through which left was reached
-	parentR := make([]int32, g.NRight()) // left vertex through which right was reached
-	seenL := make([]bool, g.NLeft())
-	seenR := make([]bool, g.NRight())
-
-	for _, start := range order {
-		c := classOf[start]
-	retry:
-		if m.R2L[start] != None {
-			continue
-		}
-		// BFS over the alternating structure from `start`.
-		for i := range seenL {
-			seenL[i] = false
-		}
-		for i := range seenR {
-			seenR[i] = false
-		}
-		seenR[start] = true
-		queueR := []int32{int32(start)}
-		best := int32(-1)
-		bestClass := c
-		for qi := 0; qi < len(queueR) && best == -1; qi++ {
-			r := queueR[qi]
-			for _, l := range g.RAdj(int(r)) {
-				if seenL[l] {
-					continue
-				}
-				seenL[l] = true
-				parentL[l] = r
-				mr := m.L2R[l]
-				if mr == None {
-					// A genuine augmenting path; take it (it also
-					// improves the class vector).
-					flipExchange(m, l, parentL, parentR, int32(start))
-					flips++
-					goto retry
-				}
-				if !seenR[mr] {
-					seenR[mr] = true
-					parentR[mr] = l
-					if classOf[mr] > bestClass {
-						best = mr
-						break
-					}
-					queueR = append(queueR, mr)
-				}
-			}
-		}
-		if best != -1 {
-			// Flip the path start ... best: `best` becomes free,
-			// `start` becomes matched.
-			l := m.R2L[best]
-			m.UnmatchRight(int(best))
-			flipExchange(m, l, parentL, parentR, int32(start))
-			flips++
-			goto retry
-		}
-	}
-	return flips
-}
-
-// flipExchange rematches along the BFS parent pointers from left vertex l back
-// to the path's starting right vertex.
-func flipExchange(m *Matching, l int32, parentL, parentR []int32, start int32) {
-	for {
-		r := parentL[l]
-		m.Match(int(l), int(r))
-		if r == start {
-			return
-		}
-		l = parentR[r]
-	}
-}
-
 // ClassCounts returns, for a matching m and class assignment classOf, the
 // number of matched right vertices in each class (index = class).
 func ClassCounts(m *Matching, classOf []int32) []int {

@@ -144,55 +144,6 @@ func TestCoverLeftNoopWhenAlreadyCovered(t *testing.T) {
 	}
 }
 
-func TestImproveEarlinessMatchesLexMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 300; trial++ {
-		nl := 1 + rng.Intn(8)
-		nr := 1 + rng.Intn(8)
-		nClasses := 1 + rng.Intn(4)
-		g := randomGraph(rng, nl, nr, 0.35)
-		classOf := randomClasses(rng, nr, nClasses)
-
-		// Incremental route: arbitrary maximum matching, then exchanges.
-		m := HopcroftKarp(g)
-		ImproveEarliness(g, m, classOf)
-		if err := Verify(g, m); err != nil {
-			t.Fatal(err)
-		}
-
-		want := BruteLexMax(g, classOf)
-		if m.Size() != want.Size() {
-			t.Fatalf("trial %d: exchange lost cardinality %d vs %d", trial, m.Size(), want.Size())
-		}
-		gv := padTo(ClassCounts(m, classOf), nClasses)
-		wv := padTo(ClassCounts(want, classOf), nClasses)
-		if lexCompare(gv, wv) != 0 {
-			t.Fatalf("trial %d: exchange vector %v != brute %v", trial, gv, wv)
-		}
-	}
-}
-
-func TestImproveEarlinessKeepsLeftSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 100; trial++ {
-		g := randomGraph(rng, 12, 12, 0.3)
-		classOf := randomClasses(rng, 12, 4)
-		m := HopcroftKarp(g)
-		before := map[int]bool{}
-		for l, r := range m.L2R {
-			if r != None {
-				before[l] = true
-			}
-		}
-		ImproveEarliness(g, m, classOf)
-		for l := range before {
-			if m.L2R[l] == None {
-				t.Fatalf("trial %d: exchange unmatched left %d", trial, l)
-			}
-		}
-	}
-}
-
 func TestRightsByClassStableCountingSort(t *testing.T) {
 	classOf := []int32{2, 0, 1, 0, 2, 1}
 	got := rightsByClass(classOf)

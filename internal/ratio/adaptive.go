@@ -1,9 +1,9 @@
-// Streaming adaptive measurement. RunAdaptive materializes the adversary's
-// whole trace before the offline optimum is taken — fine for the paper-sized
-// constructions, horizon-proportional memory for long adaptive runs. The
-// streaming path instead feeds the engine's generated requests, as they are
-// produced, into an offline.IncrementalOpt sealed at every clean segment cut,
-// so peak memory is the open segment, not the run.
+// Adaptive measurement. An adaptive adversary's trace depends on the
+// strategy, so its optimum cannot be solved ahead of the run. Rather than
+// materialize the whole trace (core.RunAdaptive) and solve it afterwards, the
+// one adaptive measurement path feeds the engine's generated requests, as
+// they are produced, into an offline.IncrementalOpt sealed at every clean
+// segment cut, so peak memory is the open segment, not the run.
 package ratio
 
 import (
@@ -18,9 +18,9 @@ import (
 // cuts. At a clean cut every earlier request is already served or expired,
 // so the engine no longer references the earlier rows and the garbage
 // collector reclaims them — the full trace never exists in memory, and no
-// segment sub-trace is ever built. It returns the measurement (identical OPT,
-// ALG and Expired to MeasureAdaptive on the same source) and the number of
-// segments the run decomposed into.
+// segment sub-trace is ever built. It returns the measurement (OPT equals
+// offline.Optimum of the trace core.RunAdaptive generates from the same
+// source) and the number of segments the run decomposed into.
 func RunAdaptiveStream(s core.Strategy, src core.AdaptiveSource) (Measurement, int) {
 	inc := offline.NewIncrementalOpt(src.N())
 	cut := core.NewSegmenter(core.UnitModel())
@@ -29,7 +29,7 @@ func RunAdaptiveStream(s core.Strategy, src core.AdaptiveSource) (Measurement, i
 		opt += inc.Seal()
 		nsegs++
 	}
-	res, _ := core.RunAdaptiveObserved(s, src, func(t int, arrivals []core.Request) bool {
+	res := core.RunAdaptiveObserved(s, src, func(t int, arrivals []core.Request) {
 		for i := range arrivals {
 			a := &arrivals[i]
 			if _, ok := cut.Cut(a.Arrive); ok {
@@ -38,7 +38,6 @@ func RunAdaptiveStream(s core.Strategy, src core.AdaptiveSource) (Measurement, i
 			inc.Add(a.Arrive, a.D, a.Alts)
 			cut.Add(a.Deadline())
 		}
-		return true
 	})
 	if _, ok := cut.Close(); ok {
 		seal()

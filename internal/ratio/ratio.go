@@ -68,21 +68,6 @@ func measureChecked(s core.Strategy, tr *core.Trace, optimum func(*core.Trace) i
 	}, nil
 }
 
-// MeasureAdaptive runs s against an adaptive source, then computes the
-// optimum of the generated trace.
-func MeasureAdaptive(s core.Strategy, src core.AdaptiveSource) Measurement {
-	res, tr := core.RunAdaptive(s, src)
-	return Measurement{
-		Strategy: s.Name(),
-		Input:    "adaptive",
-		N:        tr.N,
-		D:        tr.D,
-		OPT:      offline.Optimum(tr),
-		ALG:      res.Fulfilled,
-		Expired:  res.Expired,
-	}
-}
-
 // MeasureConstruction runs s on an adversarial construction (fixed trace or
 // adaptive source) and attaches the construction's bound.
 func MeasureConstruction(c adversary.Construction, s core.Strategy) Measurement {
@@ -91,11 +76,12 @@ func MeasureConstruction(c adversary.Construction, s core.Strategy) Measurement 
 
 // measureConstruction is MeasureConstruction with the optimum of a fixed
 // trace supplied by the caller. An adaptive source's trace depends on the
-// strategy, so its optimum is always solved here.
+// strategy, so its optimum is always solved here, incrementally as the run
+// generates it (RunAdaptiveStream).
 func measureConstruction(c adversary.Construction, s core.Strategy, optimum func(*core.Trace) int) Measurement {
 	var m Measurement
 	if c.Source != nil {
-		m = MeasureAdaptive(s, c.Source)
+		m, _ = RunAdaptiveStream(s, c.Source)
 	} else {
 		var err error
 		if m, err = measureChecked(s, c.Trace, optimum); err != nil {

@@ -57,3 +57,52 @@ func TestComposeConstruction(t *testing.T) {
 		t.Errorf("composition named %q, want %q", s.Name(), spec)
 	}
 }
+
+// TestNewStrategySpecChecksOnce: resolving a spec validates it exactly once.
+// A composite's Check builds the whole composite, so every extra validation
+// pass is a throwaway construction. Rejected specs must carry the error
+// ParseParams reports for the same parameters.
+func TestNewStrategySpecChecksOnce(t *testing.T) {
+	orig := catalog[KindStrategy]["compose"]
+	defer func() { catalog[KindStrategy]["compose"] = orig }()
+	checks := 0
+	counted := orig
+	counted.Check = func(p Params) error {
+		checks++
+		return orig.Check(p)
+	}
+	catalog[KindStrategy]["compose"] = counted
+
+	for _, tc := range []struct {
+		spec       string
+		wantChecks int
+		wantErr    bool
+	}{
+		{"compose", 1, false},
+		{"compose,router=fix", 1, false},
+		{"compose,order=priority_fcfs,admit=burst,prio=slo_age,k=2", 1, false},
+		{"compose,router=nope", 1, true},
+		{"compose,router=balance,hold=2", 1, true},
+		{"compose,k=0", 0, true},
+		{"compose,bogus=1", 0, true},
+		{"compose,router", 0, true},
+		{"compose,router=fix,router=fix", 0, true},
+	} {
+		checks = 0
+		_, err := NewStrategySpec(tc.spec)
+		if checks != tc.wantChecks {
+			t.Errorf("NewStrategySpec(%q): Check ran %d times, want %d", tc.spec, checks, tc.wantChecks)
+		}
+		if (err != nil) != tc.wantErr {
+			t.Errorf("NewStrategySpec(%q): err %v, want error %v", tc.spec, err, tc.wantErr)
+			continue
+		}
+		if err != nil {
+			_, rest, _ := strings.Cut(tc.spec, ",")
+			_, want := counted.ParseParams(rest)
+			if want == nil || err.Error() != want.Error() {
+				t.Errorf("NewStrategySpec(%q): error %q, ParseParams gives %v", tc.spec, err, want)
+			}
+		}
+	}
+}

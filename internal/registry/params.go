@@ -258,13 +258,21 @@ func (c Component) schemaNames() string {
 // type, so "seed=9007199254740993" keeps int64 precision. The result is
 // validated (unknown names, types, bounds, Check).
 func (c Component) ParseParams(s string) (Params, error) {
-	p := Params{}
-	if strings.TrimSpace(s) == "" {
-		if err := c.Validate(p); err != nil {
-			return nil, err
-		}
-		return p, nil
+	p, err := c.parseParams(s)
+	if err != nil {
+		return nil, err
 	}
+	if err := c.Validate(p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// parseParams is ParseParams without the validation, for callers that
+// validate once through Apply: it rejects only what it cannot parse
+// (malformed, unknown, duplicate or mistyped parameters).
+func (c Component) parseParams(s string) (Params, error) {
+	p := Params{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -302,9 +310,6 @@ func (c Component) ParseParams(s string) (Params, error) {
 		case Str:
 			p[name] = StrVal(val)
 		}
-	}
-	if err := c.Validate(p); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

@@ -210,14 +210,16 @@ func NewStrategy(name string, p Params) (core.Strategy, error) {
 // every frontend accepts (-strategy flags, grid manifests, experiment
 // suites) — and constructs the strategy. A bare name is the name with
 // default parameters, so all pre-existing spec strings (and the job IDs
-// derived from them) are unchanged.
+// derived from them) are unchanged. The spec is parsed once and validated
+// once, by NewStrategy's Apply: a composite's Check builds the composite, so
+// validating again would build it again.
 func NewStrategySpec(spec string) (core.Strategy, error) {
 	name, rest, _ := strings.Cut(spec, ",")
 	c, ok := Get(KindStrategy, name)
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown strategy %q", name)
 	}
-	p, err := c.ParseParams(rest)
+	p, err := c.parseParams(rest)
 	if err != nil {
 		return nil, err
 	}

@@ -182,8 +182,10 @@ type AdaptiveSource = core.AdaptiveSource
 // MeasureAdaptiveStream runs s against an adaptive source and computes its
 // competitive ratio incrementally: generated requests feed one incrementally
 // maintained offline matching, sealed at every clean segment cut, while the
-// run is in progress, so the full trace is never materialized. Returns the
-// measurement and the number of segments the run decomposed into.
+// run is in progress, so the full trace is never materialized. It is the one
+// adaptive measurement path (MeasureConstruction runs it for adaptive
+// constructions). Returns the measurement and the number of segments the run
+// decomposed into.
 func MeasureAdaptiveStream(s Strategy, src AdaptiveSource) (Measurement, int) {
 	return ratio.RunAdaptiveStream(s, src)
 }
@@ -321,7 +323,8 @@ func MeasureChecked(s Strategy, tr *Trace) (Measurement, error) {
 }
 
 // MeasureConstruction runs s on an adversarial construction and attaches the
-// construction's proven bound.
+// construction's proven bound. A fixed trace is measured like MeasureChecked;
+// an adaptive source like MeasureAdaptiveStream.
 func MeasureConstruction(c Construction, s Strategy) Measurement {
 	return ratio.MeasureConstruction(c, s)
 }

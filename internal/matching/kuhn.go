@@ -82,6 +82,7 @@ type augmenter struct {
 	seenL []int   // mark when left vertex was visited (searches from the right)
 	seenR []int   // mark when right vertex was visited (searches from the left)
 	trail []int32 // vertices the current search marked, for dead-marking on failure
+	work  Work    // searches started and vertices marked, over the augmenter's life
 }
 
 // bind points the augmenter at g, growing the mark arrays and the trail as
@@ -122,7 +123,9 @@ func ensureLen(s []int, n int) []int {
 func (a *augmenter) augmentFromLeft(m *Matching, l int) bool {
 	a.stamp++
 	a.trail = a.trail[:0]
-	if a.dfsLeft(m, int32(l)) {
+	ok := a.dfsLeft(m, int32(l))
+	a.work.add(len(a.trail))
+	if ok {
 		return true
 	}
 	for _, r := range a.trail {
@@ -162,7 +165,9 @@ func (a *augmenter) dfsLeft(m *Matching, l int32) bool {
 func (a *augmenter) augmentFromRight(m *Matching, r int) bool {
 	a.stamp++
 	a.trail = a.trail[:0]
-	if a.dfsRight(m, int32(r)) {
+	ok := a.dfsRight(m, int32(r))
+	a.work.add(len(a.trail))
+	if ok {
 		return true
 	}
 	for _, l := range a.trail {

@@ -87,6 +87,7 @@ type avoidDFS struct {
 	avoid   int32
 	seenL   []bool
 	seenR   []bool
+	work    Work // relocation searches started and vertices they marked
 }
 
 // relocate rematches the (currently unmatched) left vertex l, rerouting other
@@ -100,17 +101,20 @@ func (a *avoidDFS) relocate(l int32, target int32) bool {
 	for i := range a.seenR {
 		a.seenR[i] = false
 	}
+	a.work.Searches++
 	return a.dfs(l, target)
 }
 
 func (a *avoidDFS) dfs(l int32, target int32) bool {
 	a.seenL[l] = true
+	a.work.Marks++
 	for _, r := range a.g.adj[l] {
 		if a.classOf[r] == a.avoid || a.seenR[r] {
 			continue
 		}
 		if a.m.R2L[r] == None && (target == -1 || a.classOf[r] == target) {
 			a.seenR[r] = true
+			a.work.Marks++
 			a.m.Match(int(l), int(r))
 			return true
 		}
@@ -125,6 +129,7 @@ func (a *avoidDFS) dfs(l int32, target int32) bool {
 			// rerouting through it would change coverage
 		}
 		a.seenR[r] = true
+		a.work.Marks++
 		if a.dfs(ml, target) {
 			a.m.Match(int(l), int(r))
 			return true

@@ -20,6 +20,24 @@ type Scratch struct {
 	seenRB     []bool
 }
 
+// Work counts the search effort spent through a Scratch: the augmenting-path
+// searches its ExtendFromLeft, ExtendFromRight, LexMaxExtend and
+// PreferLowAtClass calls started, and the vertices those searches marked
+// visited. The counts depend only on the inputs and the code, not on the
+// host, so tests pin them exactly where wall time would be noise.
+type Work struct {
+	Searches int64
+	Marks    int64
+}
+
+func (w *Work) add(marks int) {
+	w.Searches++
+	w.Marks += int64(marks)
+}
+
+// Work returns the search effort accumulated over the Scratch's life.
+func (sc *Scratch) Work() Work { return sc.aug.work }
+
 // ExtendFromLeft is ExtendFromLeft with reused search buffers.
 func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
@@ -133,7 +151,10 @@ func (sc *Scratch) PreferLowAtClass(g *Graph, m *Matching, classOf []int32, clas
 		seenL:   sc.seenLB[:g.NLeft()],
 		seenR:   sc.seenRB[:g.NRight()],
 	}
-	return preferLowAtClass(g, m, classOf, class, a)
+	swaps := preferLowAtClass(g, m, classOf, class, a)
+	sc.aug.work.Searches += a.work.Searches
+	sc.aug.work.Marks += a.work.Marks
+	return swaps
 }
 
 // ensureBools returns s with length at least n, reusing capacity. Contents

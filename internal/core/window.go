@@ -26,8 +26,19 @@ type Window struct {
 	depth int
 	model ServiceModel
 	t     int          // current round
-	rows  [][]*Request // rows[t' % depth][res*Cap + cell]
-	where map[int]slotRef
+	width int          // cells per row: n * Cap
+	cells []*Request   // every row's cells back to back
+	rows  [][]*Request // rows[t' % depth][res*Cap + cell], a view of cells
+
+	// where indexes the assignments by request ID: where[ID & (len-1)] is
+	// one plus the position in cells of the cell holding that request. An
+	// entry counts only while its cell still holds the request (a pointer
+	// compare), so releasing a cell needs no index update; Assign doubles the
+	// ring when two held requests share an entry. IDs are assigned
+	// sequentially, so the ring stays within twice the ID span of the
+	// requests held at once.
+	where    []int32
+	assigned int // number of requests holding a cell
 
 	// occ[t' % occLen][res] counts capacity units of res busy in round t' —
 	// both planned assignments and holds of already-served requests. nil for
@@ -36,8 +47,6 @@ type Window struct {
 	occ    [][]int32
 	occLen int
 }
-
-type slotRef struct{ res, round, cell int }
 
 // NewWindow returns a window over n resources looking depth rounds ahead,
 // positioned at round 0, under the unit service model.
@@ -56,12 +65,18 @@ func NewWindowModel(n, depth int, m ServiceModel) *Window {
 		n:     n,
 		depth: depth,
 		model: m,
+		width: n * m.Cap,
 		rows:  make([][]*Request, depth),
-		where: make(map[int]slotRef),
 	}
+	w.cells = make([]*Request, depth*w.width)
 	for i := range w.rows {
-		w.rows[i] = make([]*Request, n*m.Cap)
+		w.rows[i] = w.cells[i*w.width : (i+1)*w.width : (i+1)*w.width]
 	}
+	ring := 8
+	for ring < len(w.cells) {
+		ring *= 2
+	}
+	w.where = make([]int32, ring)
 	if !m.IsUnit() {
 		w.occLen = depth + m.Hold - 1
 		w.occ = make([][]int32, w.occLen)
@@ -165,17 +180,83 @@ func (w *Window) OccupancyAt(res, round int) int {
 	return int(w.occ[round%w.occLen][res])
 }
 
+// cellOf returns the position in cells of the cell holding r, or -1.
+func (w *Window) cellOf(r *Request) int {
+	if pos := int(w.where[r.ID&(len(w.where)-1)]) - 1; pos >= 0 && w.cells[pos] == r {
+		return pos
+	}
+	return -1
+}
+
+// slotAt returns the resource and round of the cell at position pos.
+func (w *Window) slotAt(pos int) (res, round int) {
+	row, cell := pos/w.width, pos%w.width
+	return cell / w.model.Cap, w.t + (row-w.t%w.depth+w.depth)%w.depth
+}
+
+// index records that r now holds the cell at position pos, doubling the
+// ring until no other held request shares r's entry.
+func (w *Window) index(r *Request, pos int) {
+	for {
+		i := r.ID & (len(w.where) - 1)
+		if q := w.where[i] - 1; q < 0 || w.cells[q] == nil || w.cells[q].ID&(len(w.where)-1) != i {
+			w.where[i] = int32(pos + 1)
+			return
+		} else if w.cells[q].ID == r.ID {
+			panic(fmt.Sprintf("core: %v and %v share an ID", r, w.cells[q]))
+		}
+		w.regrow(2 * len(w.where))
+	}
+}
+
+// regrow rebuilds the ring with at least size entries from the held cells,
+// doubling further while two held requests would share an entry.
+func (w *Window) regrow(size int) {
+	where := make([]int32, size)
+	for pos, q := range w.cells {
+		if q == nil {
+			continue
+		}
+		i := q.ID & (size - 1)
+		if where[i] != 0 {
+			w.regrow(2 * size)
+			return
+		}
+		where[i] = int32(pos + 1)
+	}
+	w.where = where
+}
+
 // AssignmentOf returns where request r is currently assigned.
 func (w *Window) AssignmentOf(r *Request) (res, round int, ok bool) {
-	ref, ok := w.where[r.ID]
-	return ref.res, ref.round, ok
+	pos := w.cellOf(r)
+	if pos < 0 {
+		return 0, 0, false
+	}
+	res, round = w.slotAt(pos)
+	return res, round, true
+}
+
+// UnitOf returns where request r is currently assigned, as AssignmentOf
+// does, together with its unit: the number of the slot's cells before r's
+// that hold a request. AppendAssignments lists a slot's requests in unit
+// order. Under the unit model the unit is always 0.
+func (w *Window) UnitOf(r *Request) (res, round, unit int, ok bool) {
+	pos := w.cellOf(r)
+	if pos < 0 {
+		return 0, 0, 0, false
+	}
+	res, round = w.slotAt(pos)
+	for c := pos - pos%w.width + res*w.model.Cap; c < pos; c++ {
+		if w.cells[c] != nil {
+			unit++
+		}
+	}
+	return res, round, unit, true
 }
 
 // Assigned reports whether request r currently holds a slot.
-func (w *Window) Assigned(r *Request) bool {
-	_, ok := w.where[r.ID]
-	return ok
-}
+func (w *Window) Assigned(r *Request) bool { return w.cellOf(r) >= 0 }
 
 // Assign gives a slot of (res, round) to request r. It panics if the resource
 // has no capacity free over the hold span, the round is outside the window,
@@ -222,11 +303,13 @@ func (w *Window) Assign(r *Request, res, round int) {
 	if !r.HasAlt(res) {
 		panic(fmt.Sprintf("core: %v assigned to non-alternative %d", r, res))
 	}
-	if ref, ok := w.where[r.ID]; ok {
-		panic(fmt.Sprintf("core: %v already assigned at (%d,%d)", r, ref.res, ref.round))
+	if res, round, ok := w.AssignmentOf(r); ok {
+		panic(fmt.Sprintf("core: %v already assigned at (%d,%d)", r, res, round))
 	}
+	pos := (round%w.depth)*w.width + cell
+	w.index(r, pos)
 	row[cell] = r
-	w.where[r.ID] = slotRef{res, round, cell}
+	w.assigned++
 	if w.occ != nil {
 		w.occAdd(res, round, 1)
 	}
@@ -234,14 +317,15 @@ func (w *Window) Assign(r *Request, res, round int) {
 
 // Unassign releases the slot held by r, if any, freeing its occupancy.
 func (w *Window) Unassign(r *Request) {
-	ref, ok := w.where[r.ID]
-	if !ok {
+	pos := w.cellOf(r)
+	if pos < 0 {
 		return
 	}
-	w.rows[ref.round%w.depth][ref.cell] = nil
-	delete(w.where, r.ID)
+	w.cells[pos] = nil
+	w.assigned--
 	if w.occ != nil {
-		w.occAdd(ref.res, ref.round, -1)
+		res, round := w.slotAt(pos)
+		w.occAdd(res, round, -1)
 	}
 }
 
@@ -249,12 +333,10 @@ func (w *Window) Unassign(r *Request) {
 // storage cell is released but — unlike Unassign — the occupancy of the hold
 // span [round, round+Hold) stays busy until those rounds slide past.
 func (w *Window) consume(r *Request) {
-	ref, ok := w.where[r.ID]
-	if !ok {
-		return
+	if pos := w.cellOf(r); pos >= 0 {
+		w.cells[pos] = nil
+		w.assigned--
 	}
-	w.rows[ref.round%w.depth][ref.cell] = nil
-	delete(w.where, r.ID)
 }
 
 // dropHeldAt filters reqs in place, dropping every request that holds a cell
@@ -288,7 +370,7 @@ func heldIn(row []*Request, capc int, r *Request) bool {
 // Snapshot returns all current assignments. The order is deterministic:
 // ascending (round, resource).
 func (w *Window) Snapshot() []Assignment {
-	return w.AppendAssignments(make([]Assignment, 0, len(w.where)))
+	return w.AppendAssignments(make([]Assignment, 0, w.assigned))
 }
 
 // AppendAssignments appends all current assignments to dst and returns the
@@ -309,7 +391,7 @@ func (w *Window) AppendAssignments(dst []Assignment) []Assignment {
 }
 
 // NumAssigned returns the number of requests currently holding a slot.
-func (w *Window) NumAssigned() int { return len(w.where) }
+func (w *Window) NumAssigned() int { return w.assigned }
 
 // Reset clears every assignment in the window, keeping the allocated storage.
 // Strategies that recompute their matching from scratch each round (A_eager,
@@ -317,16 +399,15 @@ func (w *Window) NumAssigned() int { return len(w.where) }
 // requests survives a Reset — only planned assignments are withdrawn.
 func (w *Window) Reset() {
 	if w.occ != nil {
-		for _, ref := range w.where {
-			w.occAdd(ref.res, ref.round, -1)
+		for pos, r := range w.cells {
+			if r != nil {
+				res, round := w.slotAt(pos)
+				w.occAdd(res, round, -1)
+			}
 		}
 	}
-	for _, row := range w.rows {
-		for i := range row {
-			row[i] = nil
-		}
-	}
-	clear(w.where)
+	clear(w.cells)
+	w.assigned = 0
 }
 
 // FreeSlotsFor returns the free slots request r could take right now, in

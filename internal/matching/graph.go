@@ -17,20 +17,30 @@ import "fmt"
 const None int32 = -1
 
 // Graph is a bipartite graph with nLeft left vertices and nRight right
-// vertices. Edges are stored as left-side adjacency lists in insertion order.
-// A right-side adjacency view is built lazily on first use, in flat (CSR)
-// storage so rebuilding it after a Reset reuses the same backing arrays.
+// vertices. Edges are stored as left-side adjacency lists in insertion order,
+// and a right-side adjacency view in flat (CSR) storage. A graph built edge
+// by edge (AddEdge) builds the right view lazily on first use; a graph built
+// by a one-pass fill (BeginFill) writes both sides at once, into flat arrays
+// that a rebuild after Reset reuses.
 type Graph struct {
 	nLeft  int
 	nRight int
 	adj    [][]int32
 	edges  int
-	// Lazily built reverse adjacency in CSR layout: the left neighbors of
-	// right vertex r are rdata[rstart[r]:rstart[r+1]]. Invalidated (not
-	// freed) by AddEdge and Reset.
+	// Reverse adjacency in CSR layout: the left neighbors of right vertex r
+	// are rdata[rstart[r]:rstart[r+1]]. Invalidated (not freed) by AddEdge
+	// and Reset.
 	rstart    []int32
 	rdata     []int32
 	radjValid bool
+	// One-pass fill state: ldata backs the left lists of a filled graph, fillL
+	// is the left vertex whose list is being written (it starts at fillMark
+	// in ldata), and fillDeg holds the promised right degrees for EndFill's
+	// check.
+	ldata    []int32
+	fillL    int
+	fillMark int
+	fillDeg  []int32
 }
 
 // NewGraph returns an empty bipartite graph with the given side sizes.
@@ -99,19 +109,9 @@ func (g *Graph) RAdj(r int) []int32 {
 // the backing arrays of any previous build. Left neighbors end up in
 // ascending order (the insertion order of the forward lists).
 func (g *Graph) buildRight() {
-	if need := g.nRight + 1; cap(g.rstart) >= need {
-		g.rstart = g.rstart[:need]
-		for i := range g.rstart {
-			g.rstart[i] = 0
-		}
-	} else {
-		g.rstart = make([]int32, need)
-	}
-	if cap(g.rdata) >= g.edges {
-		g.rdata = g.rdata[:g.edges]
-	} else {
-		g.rdata = make([]int32, g.edges)
-	}
+	g.rstart = resize(g.rstart, g.nRight+1)
+	clear(g.rstart)
+	g.rdata = resize(g.rdata, g.edges)
 	for _, rs := range g.adj {
 		for _, r := range rs {
 			g.rstart[r+1]++
@@ -133,6 +133,75 @@ func (g *Graph) buildRight() {
 	}
 	g.rstart[0] = 0
 	g.radjValid = true
+}
+
+// BeginFill re-dimensions g like Reset and starts a one-pass build in which
+// the left lists and the right adjacency are written together: the edges of
+// left vertex 0 come first (FillEdge, in the order Adj will list them), then
+// EndLeft, then those of left vertex 1, and so on; EndFill closes the build.
+// deg[r] must be exactly the number of edges right vertex r will receive.
+// Left neighbors of each right vertex end up ascending, as buildRight orders
+// them, and RAdj needs no build afterwards.
+func (g *Graph) BeginFill(nLeft, nRight int, deg []int32) {
+	if len(deg) != nRight {
+		panic(fmt.Sprintf("matching: %d fill degrees for %d right vertices", len(deg), nRight))
+	}
+	g.Reset(nLeft, nRight)
+	g.rstart = resize(g.rstart, nRight+1)
+	// rstart[r+1] starts as r's first position and serves as its write
+	// cursor, so it ends as the end of r's list: the CSR bound rstart needs.
+	g.rstart[0] = 0
+	total := int32(0)
+	for r, k := range deg {
+		g.rstart[r+1] = total
+		total += k
+	}
+	g.rdata = resize(g.rdata, int(total))
+	g.ldata = resize(g.ldata, int(total))[:0]
+	g.fillL, g.fillMark, g.fillDeg = 0, 0, deg
+}
+
+// FillEdge adds the edge (current left vertex, r) during a one-pass build.
+func (g *Graph) FillEdge(r int32) {
+	g.ldata = append(g.ldata, r)
+	c := g.rstart[r+1]
+	g.rdata[c] = int32(g.fillL)
+	g.rstart[r+1] = c + 1
+}
+
+// EndLeft closes the current left vertex's list during a one-pass build.
+func (g *Graph) EndLeft() {
+	end := len(g.ldata)
+	g.adj[g.fillL] = g.ldata[g.fillMark:end:end]
+	g.fillL++
+	g.fillMark = end
+}
+
+// EndFill closes a one-pass build, checking that every left vertex was
+// closed and that every right vertex received exactly its promised degree.
+func (g *Graph) EndFill() {
+	if g.fillL != g.nLeft {
+		panic(fmt.Sprintf("matching: fill closed %d of %d left vertices", g.fillL, g.nLeft))
+	}
+	end := int32(0)
+	for r, k := range g.fillDeg {
+		if end += k; g.rstart[r+1] != end {
+			panic(fmt.Sprintf("matching: right vertex %d received %d edges, promised %d",
+				r, g.rstart[r+1]-(end-k), k))
+		}
+	}
+	g.edges = len(g.ldata)
+	g.radjValid = true
+	g.fillDeg = nil
+}
+
+// resize returns s with length n, reusing its capacity when large enough.
+// Contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]int32, n)
 }
 
 // Matching is a matching in a bipartite Graph, stored as mutual pointers.

@@ -19,14 +19,7 @@ package matching
 // counts are all preserved; matched left vertices stay matched (so previously
 // scheduled requests remain scheduled). Returns the number of swaps.
 func PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
-	a := &avoidDFS{
-		g:       g,
-		m:       m,
-		classOf: classOf,
-		avoid:   class,
-		seenL:   make([]bool, g.NLeft()),
-		seenR:   make([]bool, g.NRight()),
-	}
+	a := &avoidDFS{g: g, m: m, classOf: classOf, avoid: class, seenR: make([]int, g.NRight())}
 	return preferLowAtClass(g, m, classOf, class, a)
 }
 
@@ -79,15 +72,18 @@ func preferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32, a *av
 
 // avoidDFS is an augmenting search that never visits right vertices of the
 // avoided class and only terminates in a free right vertex of the target
-// class, guaranteeing the exchange is class-neutral.
+// class, guaranteeing the exchange is class-neutral. Only rights are marked:
+// a search enters a left only through its matched right, so it cannot reach
+// a left twice. Marks are stamps, as in augmenter, so a search starts
+// without clearing them.
 type avoidDFS struct {
 	g       *Graph
 	m       *Matching
 	classOf []int32
 	avoid   int32
-	seenL   []bool
-	seenR   []bool
-	work    Work // relocation searches started and vertices they marked
+	stamp   int   // mark of the current search
+	seenR   []int // mark of the search that visited the right vertex
+	work    Work  // relocation searches started and vertices they marked
 }
 
 // relocate rematches the (currently unmatched) left vertex l, rerouting other
@@ -95,32 +91,25 @@ type avoidDFS struct {
 // `target` became covered (any class if target is -1). Failure leaves the
 // matching untouched.
 func (a *avoidDFS) relocate(l int32, target int32) bool {
-	for i := range a.seenL {
-		a.seenL[i] = false
-	}
-	for i := range a.seenR {
-		a.seenR[i] = false
-	}
+	a.stamp++
 	a.work.Searches++
 	return a.dfs(l, target)
 }
 
 func (a *avoidDFS) dfs(l int32, target int32) bool {
-	a.seenL[l] = true
-	a.work.Marks++
 	for _, r := range a.g.adj[l] {
-		if a.classOf[r] == a.avoid || a.seenR[r] {
+		if a.classOf[r] == a.avoid || a.seenR[r] == a.stamp {
 			continue
 		}
 		if a.m.R2L[r] == None && (target == -1 || a.classOf[r] == target) {
-			a.seenR[r] = true
+			a.seenR[r] = a.stamp
 			a.work.Marks++
 			a.m.Match(int(l), int(r))
 			return true
 		}
 	}
 	for _, r := range a.g.adj[l] {
-		if a.classOf[r] == a.avoid || a.seenR[r] {
+		if a.classOf[r] == a.avoid || a.seenR[r] == a.stamp {
 			continue
 		}
 		ml := a.m.R2L[r]
@@ -128,7 +117,7 @@ func (a *avoidDFS) dfs(l int32, target int32) bool {
 			continue // free but wrong class: not a valid endpoint, and
 			// rerouting through it would change coverage
 		}
-		a.seenR[r] = true
+		a.seenR[r] = a.stamp
 		a.work.Marks++
 		if a.dfs(ml, target) {
 			a.m.Match(int(l), int(r))

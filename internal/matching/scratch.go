@@ -16,8 +16,7 @@ type Scratch struct {
 	queue      []int32 // Hopcroft–Karp BFS queue
 	order      []int   // rightsByClass result buffer
 	classCount []int   // rightsByClass counting-sort buffer
-	seenLB     []bool  // PreferLowAtClass relocation marks
-	seenRB     []bool
+	prefer     avoidDFS // PreferLowAtClass relocation search and its marks
 }
 
 // Work counts the search effort spent through a Scratch: the augmenting-path
@@ -36,16 +35,34 @@ func (w *Work) add(marks int) {
 }
 
 // Work returns the search effort accumulated over the Scratch's life.
-func (sc *Scratch) Work() Work { return sc.aug.work }
+func (sc *Scratch) Work() Work {
+	return Work{
+		Searches: sc.aug.work.Searches + sc.prefer.work.Searches,
+		Marks:    sc.aug.work.Marks + sc.prefer.work.Marks,
+	}
+}
 
 // ExtendFromLeft is ExtendFromLeft with reused search buffers.
 func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
 	sc.aug.beginPass(len(order))
+	// A search from a left vertex can only end at a free right vertex, so
+	// once none is left every further search would fail, and a failed search
+	// leaves the matching unchanged: stopping there changes no result.
+	free := 0
+	for _, l := range m.R2L {
+		if l == None {
+			free++
+		}
+	}
 	gained := 0
 	for _, l := range order {
+		if free == 0 {
+			break
+		}
 		if m.L2R[l] == None && sc.aug.augmentFromLeft(m, l) {
 			gained++
+			free--
 		}
 	}
 	sc.aug.endPass()
@@ -56,10 +73,22 @@ func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
 	sc.aug.beginPass(len(order))
+	// The mirror of ExtendFromLeft's stop: a search from a right vertex can
+	// only end at a free left vertex with an edge.
+	free := 0
+	for l, r := range m.L2R {
+		if r == None && len(g.adj[l]) > 0 {
+			free++
+		}
+	}
 	gained := 0
 	for _, r := range order {
+		if free == 0 {
+			break
+		}
 		if m.R2L[r] == None && sc.aug.augmentFromRight(m, r) {
 			gained++
+			free--
 		}
 	}
 	sc.aug.endPass()
@@ -141,30 +170,8 @@ func (sc *Scratch) HopcroftKarpExtend(g *Graph, m *Matching) int {
 
 // PreferLowAtClass is PreferLowAtClass with reused relocation marks.
 func (sc *Scratch) PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
-	sc.seenLB = ensureBools(sc.seenLB, g.NLeft())
-	sc.seenRB = ensureBools(sc.seenRB, g.NRight())
-	a := &avoidDFS{
-		g:       g,
-		m:       m,
-		classOf: classOf,
-		avoid:   class,
-		seenL:   sc.seenLB[:g.NLeft()],
-		seenR:   sc.seenRB[:g.NRight()],
-	}
-	swaps := preferLowAtClass(g, m, classOf, class, a)
-	sc.aug.work.Searches += a.work.Searches
-	sc.aug.work.Marks += a.work.Marks
-	return swaps
-}
-
-// ensureBools returns s with length at least n, reusing capacity. Contents
-// are irrelevant: avoidDFS clears its marks before every search.
-func ensureBools(s []bool, n int) []bool {
-	if n <= len(s) {
-		return s
-	}
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return make([]bool, n)
+	a := &sc.prefer
+	a.g, a.m, a.classOf, a.avoid = g, m, classOf, class
+	a.seenR = ensureLen(a.seenR, g.NRight())
+	return preferLowAtClass(g, m, classOf, class, a)
 }

@@ -2,6 +2,7 @@ package strategies
 
 import (
 	"reqsched/internal/core"
+	"reqsched/internal/matching"
 	"reqsched/internal/policy"
 )
 
@@ -50,7 +51,7 @@ func buildCurrentRoundGraph(sc *roundScratch, w *core.Window, reqs []*core.Reque
 	wg.t = w.Round()
 	wg.depth = w.Depth()
 	if wg.g == nil {
-		wg.g = newCurrentGraph(len(reqs), slots(w))
+		wg.g = matching.NewGraph(len(reqs), slots(w))
 	} else {
 		wg.g.Reset(len(reqs), slots(w))
 	}

@@ -67,25 +67,24 @@ func (r *BalanceRouter) Route(ctx *core.RoundContext, queue []*core.Request) {
 // routeReschedule is the shared A_eager / A_balance round body. maxClasses
 // caps the slot weight classes: 2 for A_eager (current round vs later), 0
 // for A_balance (0 means "one class per window round": full lexicographic
-// F). All graph, matching and snapshot storage comes from sc and is reused
-// across rounds. The queue order becomes the left-vertex order of the
+// F). All graph and matching storage comes from sc and is reused across
+// rounds. The queue order becomes the left-vertex order of the
 // matching graph, so it steers both the augmenting searches and the
 // PreferLowAtClass exchange (which requests are served in the current
 // round).
 func routeReschedule(ctx *core.RoundContext, queue []*core.Request, maxClasses int, sc *roundScratch) {
 	reqs := queue
-	sc.snap = ctx.W.AppendAssignments(sc.snap[:0])
+	covered := sc.coverMatching(ctx.W, reqs)
 	ctx.W.Reset()
 	wg := sc.buildGraph(ctx.W, reqs, false)
 	if maxClasses <= 0 {
 		maxClasses = wg.depth
 	}
-	classOf := sc.roundClasses(maxClasses)
+	classOf, slotOrder := sc.roundClasses(maxClasses)
 	m := sc.emptyMatching()
-	sc.ms.LexMaxExtend(wg.g, m, classOf)
-	if len(sc.snap) > 0 {
-		cover := sc.coverMatching(sc.snap)
-		matching.CoverLeft(wg.g, m, cover)
+	sc.ms.ExtendFromRight(wg.g, m, slotOrder)
+	if covered {
+		matching.CoverLeft(wg.g, m, &sc.cover)
 	}
 	// Among the admissible matchings, serve the oldest pending requests in
 	// the current round — the member of the strategy class the lower-bound

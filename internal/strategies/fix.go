@@ -96,9 +96,9 @@ func (f *FixBalanceRouter) Route(ctx *core.RoundContext, queue []*core.Request) 
 	// transversal matroid, so processing slots in ascending round order with
 	// one augmenting search each yields the weight-greedy basis — maximum
 	// cardinality with lexicographically maximal (X_t, ..., X_{t+d-1}).
-	classOf := sc.roundClasses(wg.depth)
+	classOf, slotOrder := sc.roundClasses(wg.depth)
 	m := sc.emptyMatching()
-	sc.ms.LexMaxExtend(wg.g, m, classOf)
+	sc.ms.ExtendFromRight(wg.g, m, slotOrder)
 	// Serve the oldest requests in the current round (see eager.go); this is
 	// the member Theorem 2.4's d=2 bound for A_fix_balance reasons about.
 	sc.ms.PreferLowAtClass(wg.g, m, classOf, 0)

@@ -35,83 +35,124 @@ func (wg *winGraph) slotOf(idx int) (res, round int) {
 // slots returns the number of right vertices of a window graph over w.
 func slots(w *core.Window) int { return w.Depth() * w.N() * w.Model().Cap }
 
-// buildGraph constructs the window graph for the given requests. If onlyFree
-// is true, slots currently assigned in w are omitted (the A_fix family, which
-// never reschedules, matches new requests into the free slots only); if
-// false, all window slots are vertices (the A_eager family recomputes from
-// scratch after snapshotting). Edges follow the deterministic preference
-// order: per request, alternatives as listed, rounds ascending, clipped to
-// the request's deadline.
-func buildGraph(w *core.Window, reqs []*core.Request, onlyFree bool) *winGraph {
-	wg := &winGraph{g: matching.NewGraph(len(reqs), slots(w))}
-	wg.fill(w, reqs, onlyFree)
-	return wg
+// roundScratch is the per-strategy buffer set the global strategies carry
+// across rounds: the window graph and its fill buffers, the working and cover
+// matchings, the weight-class vector and slot order, the identity order, the
+// request buffer, and the matching-solver scratch. Everything is allocated on
+// first use and reused afterwards, so each strategy's steady-state round does
+// no graph or matching allocation. A roundScratch belongs to exactly one
+// strategy instance; strategy instances are therefore not safe for
+// concurrent use (the measurement harness already builds one instance per
+// goroutine).
+type roundScratch struct {
+	wg    winGraph
+	m     matching.Matching
+	cover matching.Matching
+	ms    matching.Scratch
+	order []int
+	reqs  []*core.Request
+
+	// Fill buffers: deg holds the right-vertex degrees, first the first unit
+	// with edges of each (round offset, resource) slot, and hist the number
+	// of (request, alternative) pairs per (resource, last round offset).
+	deg   []int32
+	first []int32
+	hist  []int32
+
+	// The class vector and the slot order depend only on (n, Cap, depth,
+	// maxClasses), so they are rebuilt only when that key changes.
+	classKey  [4]int
+	classOf   []int32
+	slotOrder []int
 }
 
-// fill (re)populates wg for the given window and requests; wg.g must already
-// be dimensioned len(reqs) x depth*n.
-func (wg *winGraph) fill(w *core.Window, reqs []*core.Request, onlyFree bool) {
-	wg.reqs = reqs
-	wg.n = w.N()
-	wg.capc = w.Model().Cap
-	wg.t = w.Round()
-	wg.depth = w.Depth()
-	for li, r := range reqs {
-		last := r.Deadline()
-		if max := wg.t + wg.depth - 1; last > max {
-			last = max
-		}
-		for _, a := range r.Alts {
-			for round := wg.t; round <= last; round++ {
-				base := wg.slotIdx(a, round)
-				if onlyFree {
-					if !w.Free(a, round) {
-						continue
-					}
-					// Only the slot's free units are vertices; the first
-					// AssignedCount units stand for the existing assignments.
-					for u := w.AssignedCount(a, round); u < wg.capc; u++ {
-						wg.g.AddEdge(li, base+u)
-					}
-				} else {
-					for u := 0; u < wg.capc; u++ {
-						wg.g.AddEdge(li, base+u)
-					}
+// buildGraph fills the scratch-owned window graph for the given requests. If
+// onlyFree is true, slots currently assigned in w take no edges (the A_fix
+// family, which never reschedules, matches new requests into the free slots
+// only); if false, every window slot does (the A_eager family recomputes
+// from scratch after resetting the window). Edges follow the deterministic
+// preference order: per request, alternatives as listed, rounds ascending,
+// units ascending, clipped to the request's deadline.
+//
+// The graph is built in one pass (matching.Graph.BeginFill). Each unit of a
+// slot takes an edge from every (request, alternative) pair on its resource
+// whose clipped deadline reaches the slot's round, so a per-resource
+// histogram of clipped deadlines gives every right degree up front, and the
+// left lists and the right adjacency are then written together.
+func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFree bool) *winGraph {
+	wg := &sc.wg
+	wg.reqs, wg.n, wg.capc, wg.t, wg.depth = reqs, w.N(), w.Model().Cap, w.Round(), w.Depth()
+	n, capc, t, depth := wg.n, wg.capc, wg.t, wg.depth
+	if wg.g == nil {
+		wg.g = new(matching.Graph)
+	}
+
+	// first[k*n+res] is the first unit of slot (res, t+k) that takes edges:
+	// 0, or under onlyFree the slot's assigned count, or capc when the slot
+	// is not free at all.
+	sc.first = resize(sc.first, depth*n)
+	for k := 0; k < depth; k++ {
+		for res := 0; res < n; res++ {
+			u := 0
+			if onlyFree {
+				u = capc
+				if w.Free(res, t+k) {
+					u = w.AssignedCount(res, t+k)
 				}
+			}
+			sc.first[k*n+res] = int32(u)
+		}
+	}
+	sc.hist = resize(sc.hist, n*depth)
+	clear(sc.hist)
+	for _, r := range reqs {
+		if last := min(r.Deadline(), t+depth-1); last >= t {
+			for _, a := range r.Alts {
+				sc.hist[a*depth+last-t]++
 			}
 		}
 	}
-}
-
-// roundScratch is the per-strategy buffer set the global strategies carry
-// across rounds: the window graph, the working and cover matchings, the
-// weight-class vector, the identity order, request and snapshot buffers, and
-// the matching-solver scratch. Everything is allocated on first use and
-// reused afterwards, so each strategy's steady-state round does no graph or
-// matching allocation. A roundScratch belongs to exactly one strategy
-// instance; strategy instances are therefore not safe for concurrent use
-// (the measurement harness already builds one instance per goroutine).
-type roundScratch struct {
-	wg      winGraph
-	m       matching.Matching
-	cover   matching.Matching
-	ms      matching.Scratch
-	classOf []int32
-	index   map[int]int
-	order   []int
-	reqs    []*core.Request
-	snap    []core.Assignment
-}
-
-// buildGraph is buildGraph filling the scratch-owned graph in place.
-func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFree bool) *winGraph {
-	if sc.wg.g == nil {
-		sc.wg.g = matching.NewGraph(len(reqs), slots(w))
-	} else {
-		sc.wg.g.Reset(len(reqs), slots(w))
+	sc.deg = resize(sc.deg, depth*n*capc)
+	for res := 0; res < n; res++ {
+		reach := int32(0) // pairs on res whose clipped deadline is t+k or later
+		for k := depth - 1; k >= 0; k-- {
+			reach += sc.hist[res*depth+k]
+			s := k*n + res
+			for u := 0; u < capc; u++ {
+				d := reach
+				if int32(u) < sc.first[s] {
+					d = 0
+				}
+				sc.deg[s*capc+u] = d
+			}
+		}
 	}
-	sc.wg.fill(w, reqs, onlyFree)
-	return &sc.wg
+
+	g := wg.g
+	g.BeginFill(len(reqs), len(sc.deg), sc.deg)
+	for _, r := range reqs {
+		last := min(r.Deadline(), t+depth-1)
+		for _, a := range r.Alts {
+			// s runs over the slots (a, t), (a, t+1), ..., (a, last).
+			for s := a; s <= (last-t)*n+a; s += n {
+				for u := sc.first[s]; u < int32(capc); u++ {
+					g.FillEdge(int32(s*capc) + u)
+				}
+			}
+		}
+		g.EndLeft()
+	}
+	g.EndFill()
+	return wg
+}
+
+// resize returns s with length n, reusing its capacity when large enough.
+// Contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]int32, n)
 }
 
 // emptyMatching returns the scratch working matching, reset to the
@@ -121,50 +162,46 @@ func (sc *roundScratch) emptyMatching() *matching.Matching {
 	return &sc.m
 }
 
-// roundClasses is winGraph.roundClasses writing into the scratch buffer.
-func (sc *roundScratch) roundClasses(maxClass int) []int32 {
-	stride := sc.wg.n * sc.wg.capc
-	n := sc.wg.depth * stride
-	if cap(sc.classOf) >= n {
-		sc.classOf = sc.classOf[:n]
-	} else {
-		sc.classOf = make([]int32, n)
+// roundClasses returns the weight-class vector of the balance strategies
+// over the scratch graph's slots, and the slot order of their class greedy.
+// Slot class = rounds from now, so class 0 (the current round) is the most
+// preferred; maxClass caps the classes (A_eager uses 2: "now" vs "later").
+// Classes never decrease along the slot index, so the greedy's (class,
+// index) order is the identity, and ExtendFromRight over it is LexMaxExtend.
+func (sc *roundScratch) roundClasses(maxClass int) ([]int32, []int) {
+	wg := &sc.wg
+	key := [4]int{wg.n, wg.capc, wg.depth, maxClass}
+	if sc.classOf != nil && key == sc.classKey {
+		return sc.classOf, sc.slotOrder
 	}
+	stride := wg.n * wg.capc
+	sc.classKey = key
+	sc.classOf = make([]int32, wg.depth*stride)
+	sc.slotOrder = make([]int, len(sc.classOf))
 	for idx := range sc.classOf {
-		c := idx / stride
-		if c >= maxClass {
-			c = maxClass - 1
-		}
-		sc.classOf[idx] = int32(c)
+		sc.classOf[idx] = int32(min(idx/stride, maxClass-1))
+		sc.slotOrder[idx] = idx
 	}
-	return sc.classOf
+	return sc.classOf, sc.slotOrder
 }
 
-// coverMatching is winGraph.coverMatching reusing the scratch cover matching
-// and request-index map.
-func (sc *roundScratch) coverMatching(snapshot []core.Assignment) *matching.Matching {
-	if sc.index == nil {
-		sc.index = make(map[int]int, len(sc.wg.reqs))
-	} else {
-		clear(sc.index)
-	}
-	for li, r := range sc.wg.reqs {
-		sc.index[r.ID] = li
-	}
-	sc.cover.Reset(sc.wg.g.NLeft(), sc.wg.g.NRight())
-	// Snapshot order is deterministic ascending (round, resource), so
-	// assignments sharing a slot take its units 0, 1, ... in snapshot order.
-	prev, unit := [2]int{-1, -1}, 0
-	for _, a := range snapshot {
-		if key := [2]int{a.Res, a.Round}; key != prev {
-			prev, unit = key, 0
+// coverMatching sets the scratch cover matching to w's current schedule,
+// read as a matching of the window graph buildGraph will build over reqs
+// (the inherited schedule), for use with matching.CoverLeft. It must run
+// before the window is reset, and it reports whether any request of reqs is
+// assigned. A slot's assignments take its units 0, 1, ... in cell order, as
+// core.Window.UnitOf numbers them.
+func (sc *roundScratch) coverMatching(w *core.Window, reqs []*core.Request) bool {
+	n, capc, t := w.N(), w.Model().Cap, w.Round()
+	sc.cover.Reset(len(reqs), slots(w))
+	covered := false
+	for li, r := range reqs {
+		if res, round, unit, ok := w.UnitOf(r); ok {
+			sc.cover.Match(li, ((round-t)*n+res)*capc+unit)
+			covered = true
 		}
-		if li, ok := sc.index[a.Req.ID]; ok {
-			sc.cover.Match(li, sc.wg.slotIdx(a.Res, a.Round)+unit)
-		}
-		unit++
 	}
-	return &sc.cover
+	return covered
 }
 
 // identOrder returns the scratch identity permutation 0..n-1.
@@ -178,66 +215,6 @@ func (sc *roundScratch) identOrder(n int) []int {
 		sc.order[i] = i
 	}
 	return sc.order
-}
-
-// roundClasses returns the weight-class vector used by the balance
-// strategies: slot class = rounds-from-now, so class 0 (the current round) is
-// the most preferred. maxClass caps the classes (A_eager uses 2: "now" vs
-// "later").
-func (wg *winGraph) roundClasses(maxClass int) []int32 {
-	stride := wg.n * wg.capc
-	classOf := make([]int32, wg.depth*stride)
-	for idx := range classOf {
-		c := idx / stride
-		if c >= maxClass {
-			c = maxClass - 1
-		}
-		classOf[idx] = int32(c)
-	}
-	return classOf
-}
-
-// coverMatching converts a window snapshot into a matching of wg (the
-// inherited schedule), for use with matching.CoverLeft. Requests in the
-// snapshot that are not in reqs (already served) are skipped.
-func (wg *winGraph) coverMatching(snapshot []core.Assignment) *matching.Matching {
-	index := make(map[int]int, len(wg.reqs))
-	for li, r := range wg.reqs {
-		index[r.ID] = li
-	}
-	m := matching.NewMatching(wg.g.NLeft(), wg.g.NRight())
-	prev, unit := [2]int{-1, -1}, 0
-	for _, a := range snapshot {
-		if key := [2]int{a.Res, a.Round}; key != prev {
-			prev, unit = key, 0
-		}
-		if li, ok := index[a.Req.ID]; ok {
-			m.Match(li, wg.slotIdx(a.Res, a.Round)+unit)
-		}
-		unit++
-	}
-	return m
-}
-
-// newCurrentGraph returns an empty graph sized like a window graph; used by
-// A_current, which only adds current-round edges.
-func newCurrentGraph(nLeft, nRight int) *matching.Graph {
-	return matching.NewGraph(nLeft, nRight)
-}
-
-// newEmptyMatching returns an empty matching sized for wg.
-func newEmptyMatching(wg *winGraph) *matching.Matching {
-	return matching.NewMatching(wg.g.NLeft(), wg.g.NRight())
-}
-
-// extendFromLeft augments m from the listed left vertices in order.
-func extendFromLeft(wg *winGraph, m *matching.Matching, order []int) int {
-	return matching.ExtendFromLeft(wg.g, m, order)
-}
-
-// lexMax computes the weight-class greedy maximum matching of wg.
-func lexMax(wg *winGraph, classOf []int32) *matching.Matching {
-	return matching.LexMax(wg.g, classOf)
 }
 
 // apply writes matched pairs into the window. Requests already assigned in w

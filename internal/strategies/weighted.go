@@ -17,7 +17,7 @@ import (
 // arrivals are considered heaviest-first (ties by ID) and matched into free
 // slots with augmentation, never to be rescheduled. With uniform weights it
 // coincides with a member of the A_fix class.
-type FixWeighted struct{}
+type FixWeighted struct{ sc roundScratch }
 
 // NewFixWeighted returns the weighted A_fix variant.
 func NewFixWeighted() *FixWeighted { return &FixWeighted{} }
@@ -29,22 +29,19 @@ func (*FixWeighted) Name() string { return "A_fix_w" }
 func (*FixWeighted) Begin(n, d int) {}
 
 // Round implements core.Strategy.
-func (*FixWeighted) Round(ctx *core.RoundContext) {
-	reqs := append([]*core.Request(nil), ctx.Arrivals...)
+func (f *FixWeighted) Round(ctx *core.RoundContext) {
+	sc := &f.sc
+	reqs := append(sc.reqs[:0], ctx.Arrivals...)
 	sort.SliceStable(reqs, func(a, b int) bool {
 		if reqs[a].Weight() != reqs[b].Weight() {
 			return reqs[a].Weight() > reqs[b].Weight()
 		}
 		return reqs[a].ID < reqs[b].ID
 	})
-	wg := buildGraph(ctx.W, reqs, true)
-	m := newEmptyMatching(wg)
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	extendFromLeft(wg, m, order)
-	wg.apply(ctx.W, m)
+	sc.reqs = reqs
+	wg := sc.buildGraph(ctx.W, reqs, true)
+	sc.ms.ExtendFromLeft(wg.g, sc.emptyMatching(), sc.identOrder(len(reqs)))
+	wg.apply(ctx.W, &sc.m)
 }
 
 // EagerWeighted recomputes, every round, the matching of maximum total
@@ -53,7 +50,7 @@ func (*FixWeighted) Round(ctx *core.RoundContext) {
 // commitment is traded for profit. With uniform weights the per-round
 // matching is maximum cardinality, so it behaves like an (unconstrained)
 // member of the A_eager class.
-type EagerWeighted struct{}
+type EagerWeighted struct{ sc roundScratch }
 
 // NewEagerWeighted returns the weighted rescheduling strategy.
 func NewEagerWeighted() *EagerWeighted { return &EagerWeighted{} }
@@ -65,10 +62,10 @@ func (*EagerWeighted) Name() string { return "A_eager_w" }
 func (*EagerWeighted) Begin(n, d int) {}
 
 // Round implements core.Strategy.
-func (*EagerWeighted) Round(ctx *core.RoundContext) {
+func (e *EagerWeighted) Round(ctx *core.RoundContext) {
 	reqs := ctx.Pending
 	ctx.W.Reset()
-	wg := buildGraph(ctx.W, reqs, false)
+	wg := e.sc.buildGraph(ctx.W, reqs, false)
 	profit := make([]int64, len(reqs))
 	for i, r := range reqs {
 		profit[i] = int64(r.Weight())

@@ -25,15 +25,15 @@ func TestRoundSearchWork(t *testing.T) {
 		{"A_fix_balance", func() (policy.Router, *roundScratch) {
 			r := NewFixBalanceRouter()
 			return r, &r.sc
-		}, 4871, matching.Work{Searches: 29292, Marks: 3080}},
+		}, 4871, matching.Work{Searches: 27720, Marks: 1994}},
 		{"A_eager", func() (policy.Router, *roundScratch) {
 			r := NewEagerRouter()
 			return r, &r.sc
-		}, 4872, matching.Work{Searches: 30230, Marks: 21310}},
+		}, 4872, matching.Work{Searches: 29227, Marks: 15615}},
 		{"A_balance", func() (policy.Router, *roundScratch) {
 			r := NewBalanceRouter()
 			return r, &r.sc
-		}, 4873, matching.Work{Searches: 30254, Marks: 24313}},
+		}, 4873, matching.Work{Searches: 29225, Marks: 17075}},
 	} {
 		r, sc := c.router()
 		res := core.Run(canonical(c.name, r), tr)

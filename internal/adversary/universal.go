@@ -77,6 +77,10 @@ type universalSource struct {
 
 	colored [3][]int // request IDs of each color group in the current cycle
 	nextID  int
+
+	// Next's result, reused from call to call: specs[i] is flat[2i:2i+2].
+	specs [][]int
+	flat  []int
 }
 
 // pairRes returns the two resource indices of pair p.
@@ -91,14 +95,15 @@ func (u *universalSource) D() int { return u.d }
 // Done implements core.AdaptiveSource.
 func (u *universalSource) Done(t int) bool { return t > u.cycles*u.d }
 
-// Next implements core.AdaptiveSource.
+// Next implements core.AdaptiveSource. The returned specs are reused by the
+// next call.
 func (u *universalSource) Next(t int, isServed func(id int) bool) [][]int {
 	d := u.d
 	cycle, off := t/d, t%d
-	var specs [][]int
+	u.flat = u.flat[:0]
 	switch {
 	case t == 0:
-		specs = u.blockSpecs(u.blocked[0], u.blocked[1], u.blocked[2])
+		u.block(u.blocked[0], u.blocked[1], u.blocked[2])
 	case off == 0 && cycle >= 1 && cycle <= u.cycles:
 		// Cycle boundary: pick the color with the most unfulfilled
 		// requests, then re-block its pair together with the free pairs.
@@ -115,49 +120,54 @@ func (u *universalSource) Next(t int, isServed func(id int) bool) [][]int {
 			}
 		}
 		doomedPair := u.blocked[worst]
-		survivors := make([]int, 0, 2)
+		var survivors [2]int
+		k := 0
 		for c := 0; c < 3; c++ {
 			if c != worst {
-				survivors = append(survivors, u.blocked[c])
+				survivors[k] = u.blocked[c]
+				k++
 			}
 		}
-		newBlocked := [3]int{u.free[0], u.free[1], doomedPair}
-		u.blocked = newBlocked
-		u.free = [2]int{survivors[0], survivors[1]}
-		u.colored = [3][]int{}
-		specs = u.blockSpecs(newBlocked[0], newBlocked[1], newBlocked[2])
+		u.blocked = [3]int{u.free[0], u.free[1], doomedPair}
+		u.free = survivors
+		for c := range u.colored {
+			u.colored[c] = u.colored[c][:0]
+		}
+		u.block(u.blocked[0], u.blocked[1], u.blocked[2])
 	case off == d-u.p && cycle < u.cycles:
 		// Phase 1: colored requests, 4p per color with first alternatives
 		// spread evenly over the four free resources (p each).
-		freeRes := []int{
+		freeRes := [4]int{
 			pairRes(u.free[0])[0], pairRes(u.free[0])[1],
 			pairRes(u.free[1])[0], pairRes(u.free[1])[1],
 		}
 		for c := 0; c < 3; c++ {
 			own := pairRes(u.blocked[c])
 			for k := 0; k < 4*u.p; k++ {
-				specs = append(specs, []int{freeRes[k%4], own[k%2]})
-				u.colored[c] = append(u.colored[c], u.nextID+len(specs)-1)
+				u.flat = append(u.flat, freeRes[k%4], own[k%2])
+				u.colored[c] = append(u.colored[c], u.nextID+len(u.flat)/2-1)
 			}
 		}
 	}
-	u.nextID += len(specs)
-	return specs
+	u.specs = u.specs[:0]
+	for i := 0; i < len(u.flat); i += 2 {
+		u.specs = append(u.specs, u.flat[i:i+2:i+2])
+	}
+	u.nextID += len(u.specs)
+	return u.specs
 }
 
-// blockSpecs returns the alternative lists of a block(6,d) over the six
-// resources of the three given pairs, in the paper's cyclic structure.
-func (u *universalSource) blockSpecs(p0, p1, p2 int) [][]int {
-	res := []int{
+// block appends the alternative pairs of a block(6,d) over the six resources
+// of the three given pairs to u.flat, in the paper's cyclic structure.
+func (u *universalSource) block(p0, p1, p2 int) {
+	res := [6]int{
 		pairRes(p0)[0], pairRes(p0)[1],
 		pairRes(p1)[0], pairRes(p1)[1],
 		pairRes(p2)[0], pairRes(p2)[1],
 	}
-	var specs [][]int
 	for i := 0; i < 6; i++ {
 		for k := 0; k < u.d; k++ {
-			specs = append(specs, []int{res[i], res[(i+1)%6]})
+			u.flat = append(u.flat, res[i], res[(i+1)%6])
 		}
 	}
-	return specs
 }

@@ -14,7 +14,8 @@ type AdaptiveSource interface {
 	// given trace-wide ID has been fulfilled; IDs are assigned sequentially
 	// in injection order, so the source can track the IDs of its own
 	// requests by counting. Next is called for every round until it has
-	// returned Done.
+	// returned Done. The returned slices need only stay valid until the
+	// next call: the engine copies them, so a source may reuse one buffer.
 	Next(t int, isServed func(id int) bool) [][]int
 	// Done reports that no further requests will be injected at round t or
 	// later; the engine then runs the window dry and stops.
@@ -26,7 +27,8 @@ type AdaptiveSource interface {
 // the bounded-memory primitive under RunAdaptive and the adaptive streaming
 // pipeline. observe is called once per simulated round with the round number
 // and that round's freshly allocated request row (nil when none arrive); the
-// row is never reused, so the observer may retain it. The rounds themselves
+// row and its alternatives, one flat allocation per row, are never reused,
+// so the observer may retain them. The rounds themselves
 // run on a Stepper, the same engine body as Run and the live daemon; this
 // loop only turns the source's output into request rows and records which
 // IDs have been served, as a dense bitmap grown in step with the
@@ -48,8 +50,15 @@ func RunAdaptiveObserved(s Strategy, src AdaptiveSource, observe func(t int, arr
 				injectionOver, drainUntil = true, t+d
 			} else if specs := src.Next(t, isServed); len(specs) > 0 {
 				row = make([]Request, len(specs))
+				total := 0
+				for _, alts := range specs {
+					total += len(alts)
+				}
+				flat := make([]int, 0, total)
 				for i, alts := range specs {
-					row[i] = Request{ID: len(served), Arrive: t, Alts: append([]int(nil), alts...), D: d}
+					flat = append(flat, alts...)
+					end := len(flat)
+					row[i] = Request{ID: len(served), Arrive: t, Alts: flat[end-len(alts) : end : end], D: d}
 					served = append(served, false)
 					arrivals = append(arrivals, &row[i])
 				}

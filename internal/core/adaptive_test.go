@@ -80,3 +80,58 @@ func (emptySource) N() int                           { return 1 }
 func (emptySource) D() int                           { return 1 }
 func (emptySource) Done(t int) bool                  { return true }
 func (emptySource) Next(int, func(int) bool) [][]int { return nil }
+
+// bufferedSource injects perRound requests in each of rounds rounds, writing
+// every round's alternatives into one reused buffer, as AdaptiveSource
+// permits. Round t's requests name resources t%n and (t+1)%n.
+type bufferedSource struct {
+	n, rounds, perRound int
+	specs               [][]int
+	flat                []int
+}
+
+func (b *bufferedSource) N() int          { return b.n }
+func (b *bufferedSource) D() int          { return 2 }
+func (b *bufferedSource) Done(t int) bool { return t >= b.rounds }
+func (b *bufferedSource) Next(t int, isServed func(int) bool) [][]int {
+	b.flat, b.specs = b.flat[:0], b.specs[:0]
+	for i := 0; i < b.perRound; i++ {
+		b.flat = append(b.flat, t%b.n, (t+1)%b.n)
+	}
+	for i := 0; i < b.perRound; i++ {
+		b.specs = append(b.specs, b.flat[2*i:2*i+2])
+	}
+	return b.specs
+}
+
+// TestRunAdaptiveAllocatesPerRoundNotPerRequest pins that the adaptive loop
+// copies a round's alternatives into one allocation per row: sixteen times
+// the requests over the same rounds may cost only amortised growth more.
+// It also checks the copy: rows the observer keeps hold their own round's
+// alternatives although the source reuses its buffer.
+func TestRunAdaptiveAllocatesPerRoundNotPerRequest(t *testing.T) {
+	const rounds = 200
+	idle := strategyFunc{name: "idle", round: func(*RoundContext) {}}
+	allocs := func(perRound int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			RunAdaptiveObserved(idle, &bufferedSource{n: 4, rounds: rounds, perRound: perRound}, func(int, []Request) {})
+		})
+	}
+	few, many := allocs(1), allocs(16)
+	t.Logf("%v allocs at 1 request per round, %v at 16", few, many)
+	if many-few > 40 {
+		t.Errorf("%v allocs at 16 requests per round vs %v at 1: the loop allocates per request", many, few)
+	}
+
+	var rows [][]Request
+	RunAdaptiveObserved(idle, &bufferedSource{n: 4, rounds: 10, perRound: 3}, func(_ int, row []Request) {
+		rows = append(rows, row)
+	})
+	for rt, row := range rows {
+		for _, r := range row {
+			if len(r.Alts) != 2 || r.Alts[0] != rt%4 || r.Alts[1] != (rt+1)%4 {
+				t.Fatalf("round %d row holds %v, want [%d %d]", rt, r.Alts, rt%4, (rt+1)%4)
+			}
+		}
+	}
+}

@@ -26,10 +26,9 @@ func TestLocalRoundsAllocateNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow with -short")
 	}
-	// Amortised slice and map growth over a 4x longer run adds a few
-	// allocations; a per-round allocation adds at least 900.
+	// Amortised slice growth over a 4x longer run adds a few allocations; a
+	// per-round allocation adds at least 900.
 	const maxGrowth = 10
-	churn := mapChurnAllocates()
 	trace := func(rounds int) *core.Trace {
 		return workload.Uniform(workload.Config{N: 16, D: 6, Rounds: rounds, Rate: 18, Seed: 11})
 	}
@@ -52,9 +51,7 @@ func TestLocalRoundsAllocateNothing(t *testing.T) {
 		}
 		a300, a1200 := allocs(short), allocs(long)
 		t.Logf("%s: %v allocs per run at 300 rounds, %v at 1200", name, a300, a1200)
-		if churn {
-			t.Logf("%s: growth not checked: this toolchain's maps allocate under churn", name)
-		} else if a1200-a300 > maxGrowth {
+		if a1200-a300 > maxGrowth {
 			t.Errorf("%s: %v allocs at 1200 rounds vs %v at 300: the round loop allocates", name, a1200, a300)
 		}
 
@@ -72,21 +69,4 @@ func TestLocalRoundsAllocateNothing(t *testing.T) {
 			}
 		}
 	}
-}
-
-// mapChurnAllocates reports whether this toolchain's maps allocate in steady
-// state when keys are inserted and deleted at a constant live size. Pre-swiss
-// maps (Go 1.23 and older) do: they grow overflow buckets and rehash.
-// core.Window indexes its assignments in such a map, so there every
-// strategy's round loop allocates a little, global or local.
-func mapChurnAllocates() bool {
-	m := make(map[int]int)
-	next := 0
-	return testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			m[next] = i
-			delete(m, next-64)
-			next++
-		}
-	}) > 0
 }

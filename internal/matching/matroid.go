@@ -54,46 +54,26 @@ func checkClassLen(g *Graph, classOf []int32) {
 // rightsByClass returns right vertex indices sorted by (class, index)
 // ascending using a counting sort, preserving index order within a class.
 func rightsByClass(classOf []int32) []int {
-	order, _ := rightsByClassInto(nil, nil, classOf)
-	return order
-}
-
-// rightsByClassInto is rightsByClass writing into the given buffers (grown as
-// needed and returned for reuse).
-func rightsByClassInto(order []int, count []int, classOf []int32) ([]int, []int) {
 	maxC := int32(0)
 	for _, c := range classOf {
 		if c < 0 {
 			panic("matching: negative weight class")
 		}
-		if c > maxC {
-			maxC = c
-		}
+		maxC = max(maxC, c)
 	}
-	if need := int(maxC) + 2; cap(count) >= need {
-		count = count[:need]
-		for i := range count {
-			count[i] = 0
-		}
-	} else {
-		count = make([]int, need)
-	}
+	count := make([]int, maxC+2)
 	for _, c := range classOf {
 		count[c+1]++
 	}
 	for i := 1; i < len(count); i++ {
 		count[i] += count[i-1]
 	}
-	if cap(order) >= len(classOf) {
-		order = order[:len(classOf)]
-	} else {
-		order = make([]int, len(classOf))
-	}
+	order := make([]int, len(classOf))
 	for r, c := range classOf {
 		order[count[c]] = r
 		count[c]++
 	}
-	return order, count
+	return order
 }
 
 // CoverLeft transforms the maximum matching m so that every left vertex

@@ -126,7 +126,7 @@ func checkPruneCase(t *testing.T, sc *Scratch, c pruneCase) {
 		{"LexMaxExtend",
 			func(m *Matching) int { return refLexMaxExtend(c.g, m, c.classOf) },
 			func(m *Matching) int { return LexMaxExtend(c.g, m, c.classOf) },
-			func(m *Matching) int { return sc.LexMaxExtend(c.g, m, c.classOf) }},
+			func(m *Matching) int { return sc.ExtendFromRight(c.g, m, rightsByClass(c.classOf)) }},
 	} {
 		want := c.start.Clone()
 		wantGain := op.ref(want)

@@ -11,19 +11,17 @@ package matching
 // function; results are bit-for-bit identical, only the buffer lifetimes
 // differ. The free functions delegate to a throwaway Scratch.
 type Scratch struct {
-	aug        augmenter
-	dist       []int32 // Hopcroft–Karp BFS layers
-	queue      []int32 // Hopcroft–Karp BFS queue
-	order      []int   // rightsByClass result buffer
-	classCount []int   // rightsByClass counting-sort buffer
-	prefer     avoidDFS // PreferLowAtClass relocation search and its marks
+	aug    augmenter
+	dist   []int32  // Hopcroft–Karp BFS layers
+	queue  []int32  // Hopcroft–Karp BFS queue
+	prefer avoidDFS // PreferLowAtClass relocation search and its marks
 }
 
 // Work counts the search effort spent through a Scratch: the augmenting-path
-// searches its ExtendFromLeft, ExtendFromRight, LexMaxExtend and
-// PreferLowAtClass calls started, and the vertices those searches marked
-// visited. The counts depend only on the inputs and the code, not on the
-// host, so tests pin them exactly where wall time would be noise.
+// searches its ExtendFromLeft, ExtendFromRight and PreferLowAtClass calls
+// started, and the vertices those searches marked visited. The counts depend
+// only on the inputs and the code, not on the host, so tests pin them
+// exactly where wall time would be noise.
 type Work struct {
 	Searches int64
 	Marks    int64
@@ -93,13 +91,6 @@ func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
 	}
 	sc.aug.endPass()
 	return gained
-}
-
-// LexMaxExtend is LexMaxExtend with reused class-sort and search buffers.
-func (sc *Scratch) LexMaxExtend(g *Graph, m *Matching, classOf []int32) int {
-	checkClassLen(g, classOf)
-	sc.order, sc.classCount = rightsByClassInto(sc.order, sc.classCount, classOf)
-	return sc.ExtendFromRight(g, m, sc.order)
 }
 
 // HopcroftKarpExtend is HopcroftKarpExtend with reused BFS buffers.

@@ -25,7 +25,10 @@ type pruneCase struct {
 // genPruneCase builds an instance of roughly the given scale. kind 0 is a
 // random bipartite graph; kind 1 is window-shaped like the strategies' round
 // graphs: requests with 1–3 alternatives, each over a contiguous round range,
-// rights laid out per (resource, round) and classed by round.
+// rights laid out per (resource, round) and classed by round. Kinds 2 and 3
+// are random graphs whose starting matching covers every left (kind 2) or
+// every right (kind 3), so one side's extension starts with nothing free to
+// reach.
 func genPruneCase(rng *rand.Rand, kind, scale int) pruneCase {
 	var c pruneCase
 	switch kind {
@@ -38,6 +41,35 @@ func genPruneCase(rng *rand.Rand, kind, scale int) pruneCase {
 				if rng.Float64() < p {
 					c.g.AddEdge(l, r)
 				}
+			}
+		}
+		c.classOf = make([]int32, nr)
+		for r := range c.classOf {
+			c.classOf[r] = int32(rng.IntN(4))
+		}
+	case 2, 3:
+		covered := 1 + rng.IntN(scale)
+		other := covered + rng.IntN(scale/2+1)
+		nl, nr := covered, other
+		if kind == 3 {
+			nl, nr = other, covered
+		}
+		partner := rng.Perm(other)[:covered]
+		p := 0.05 + 0.4*rng.Float64()
+		c.g = NewGraph(nl, nr)
+		for l := 0; l < nl; l++ {
+			for r := 0; r < nr; r++ {
+				if (kind == 2 && partner[l] == r) || (kind == 3 && partner[r] == l) || rng.Float64() < p {
+					c.g.AddEdge(l, r)
+				}
+			}
+		}
+		c.start = NewMatching(nl, nr)
+		for i, j := range partner {
+			if kind == 2 {
+				c.start.Match(i, j)
+			} else {
+				c.start.Match(j, i)
 			}
 		}
 		c.classOf = make([]int32, nr)
@@ -63,15 +95,17 @@ func genPruneCase(rng *rand.Rand, kind, scale int) pruneCase {
 			c.classOf[r] = int32(r % rounds)
 		}
 	}
-	c.start = NewMatching(c.g.NLeft(), c.g.NRight())
-	q := rng.Float64()
-	for _, l := range rng.Perm(c.g.NLeft()) {
-		adj := c.g.Adj(l)
-		if len(adj) == 0 || rng.Float64() >= q {
-			continue
-		}
-		if r := adj[rng.IntN(len(adj))]; c.start.R2L[r] == None {
-			c.start.Match(l, int(r))
+	if c.start == nil {
+		c.start = NewMatching(c.g.NLeft(), c.g.NRight())
+		q := rng.Float64()
+		for _, l := range rng.Perm(c.g.NLeft()) {
+			adj := c.g.Adj(l)
+			if len(adj) == 0 || rng.Float64() >= q {
+				continue
+			}
+			if r := adj[rng.IntN(len(adj))]; c.start.R2L[r] == None {
+				c.start.Match(l, int(r))
+			}
 		}
 	}
 	c.leftOrder = randomOrder(rng, c.g.NLeft())
@@ -138,8 +172,8 @@ func checkPruneCase(t *testing.T, sc *Scratch, c pruneCase) {
 }
 
 // runPruneInput decodes one fuzz input: each byte of shapes generates one
-// graph (kind from the low bit, scale from the rest), all checked on a single
-// Scratch in sequence, so sizes grow and shrink across passes.
+// graph (kind from the low two bits, scale from the rest), all checked on a
+// single Scratch in sequence, so sizes grow and shrink across passes.
 func runPruneInput(t *testing.T, seed uint64, shapes []byte) {
 	if len(shapes) > 8 {
 		shapes = shapes[:8]
@@ -147,7 +181,7 @@ func runPruneInput(t *testing.T, seed uint64, shapes []byte) {
 	rng := rand.New(rand.NewPCG(seed, uint64(len(shapes))))
 	var sc Scratch
 	for _, b := range shapes {
-		checkPruneCase(t, &sc, genPruneCase(rng, int(b&1), 1+int(b>>1)%40))
+		checkPruneCase(t, &sc, genPruneCase(rng, int(b&3), 1+int(b>>2)%40))
 	}
 }
 
@@ -156,6 +190,9 @@ func FuzzAugmentPruning(f *testing.F) {
 	f.Add(uint64(2), []byte{79, 3, 41, 1})
 	f.Add(uint64(3), []byte{20, 60, 2, 77, 5, 33})
 	f.Add(uint64(4), []byte{255, 254, 9})
+	// Starts that cover every left (kind 2) and every right (kind 3).
+	f.Add(uint64(5), []byte{2, 3, 82, 83, 158, 159})
+	f.Add(uint64(6), []byte{254, 255, 42, 43})
 	f.Fuzz(runPruneInput)
 }
 

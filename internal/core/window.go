@@ -72,8 +72,10 @@ func NewWindowModel(n, depth int, m ServiceModel) *Window {
 	for i := range w.rows {
 		w.rows[i] = w.cells[i*w.width : (i+1)*w.width : (i+1)*w.width]
 	}
+	// Sequential IDs held at once span about the arrivals of depth rounds;
+	// room for four times the cells makes growth rare even under bursts.
 	ring := 8
-	for ring < len(w.cells) {
+	for ring < 4*len(w.cells) {
 		ring *= 2
 	}
 	w.where = make([]int32, ring)
@@ -199,10 +201,12 @@ func (w *Window) slotAt(pos int) (res, round int) {
 func (w *Window) index(r *Request, pos int) {
 	for {
 		i := r.ID & (len(w.where) - 1)
-		if q := w.where[i] - 1; q < 0 || w.cells[q] == nil || w.cells[q].ID&(len(w.where)-1) != i {
+		q := w.where[i] - 1
+		if q < 0 || w.cells[q] == nil || w.cells[q].ID&(len(w.where)-1) != i {
 			w.where[i] = int32(pos + 1)
 			return
-		} else if w.cells[q].ID == r.ID {
+		}
+		if w.cells[q].ID == r.ID {
 			panic(fmt.Sprintf("core: %v and %v share an ID", r, w.cells[q]))
 		}
 		w.regrow(2 * len(w.where))

@@ -11,7 +11,10 @@
 // of a strategy class ("can be implemented in a way that ...").
 package matching
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // None marks an unmatched vertex in a Matching.
 const None int32 = -1
@@ -195,14 +198,11 @@ func (g *Graph) EndFill() {
 	g.fillDeg = nil
 }
 
-// resize returns s with length n, reusing its capacity when large enough.
-// Contents are unspecified.
-func resize(s []int32, n int) []int32 {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
+// resize returns s with length n, reusing its capacity when large enough
+// and growing it as append does otherwise, so a buffer that creeps up round
+// after round reallocates only logarithmically often. Contents are
+// unspecified.
+func resize(s []int32, n int) []int32 { return slices.Grow(s[:0], n)[:n] }
 
 // Matching is a matching in a bipartite Graph, stored as mutual pointers.
 // The zero value is not usable; construct with NewMatching.

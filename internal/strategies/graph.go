@@ -1,6 +1,8 @@
 package strategies
 
 import (
+	"slices"
+
 	"reqsched/internal/core"
 	"reqsched/internal/matching"
 )
@@ -146,14 +148,11 @@ func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFre
 	return wg
 }
 
-// resize returns s with length n, reusing its capacity when large enough.
-// Contents are unspecified.
-func resize(s []int32, n int) []int32 {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
+// resize returns s with length n, reusing its capacity when large enough
+// and growing it as append does otherwise, so a buffer that creeps up round
+// after round reallocates only logarithmically often. Contents are
+// unspecified.
+func resize(s []int32, n int) []int32 { return slices.Grow(s[:0], n)[:n] }
 
 // emptyMatching returns the scratch working matching, reset to the
 // dimensions of the scratch graph.

@@ -72,10 +72,10 @@ func NewWindowModel(n, depth int, m ServiceModel) *Window {
 	for i := range w.rows {
 		w.rows[i] = w.cells[i*w.width : (i+1)*w.width : (i+1)*w.width]
 	}
-	// Sequential IDs held at once span about the arrivals of depth rounds;
-	// room for four times the cells makes growth rare even under bursts.
+	// The ring starts at the cell count; index doubles it when two held
+	// requests collide, so it settles near the span of held IDs.
 	ring := 8
-	for ring < 4*len(w.cells) {
+	for ring < len(w.cells) {
 		ring *= 2
 	}
 	w.where = make([]int32, ring)

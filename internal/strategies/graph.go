@@ -92,7 +92,8 @@ func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFre
 	// first[k*n+res] is the first unit of slot (res, t+k) that takes edges:
 	// 0, or under onlyFree the slot's assigned count, or capc when the slot
 	// is not free at all.
-	sc.first = resize(sc.first, depth*n)
+	slots := depth * n
+	sc.first = slices.Grow(sc.first[:0], slots)[:slots]
 	for k := 0; k < depth; k++ {
 		for res := 0; res < n; res++ {
 			u := 0
@@ -105,7 +106,7 @@ func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFre
 			sc.first[k*n+res] = int32(u)
 		}
 	}
-	sc.hist = resize(sc.hist, n*depth)
+	sc.hist = slices.Grow(sc.hist[:0], slots)[:slots]
 	clear(sc.hist)
 	for _, r := range reqs {
 		if last := min(r.Deadline(), t+depth-1); last >= t {
@@ -114,7 +115,7 @@ func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFre
 			}
 		}
 	}
-	sc.deg = resize(sc.deg, depth*n*capc)
+	sc.deg = slices.Grow(sc.deg[:0], slots*capc)[:slots*capc]
 	for res := 0; res < n; res++ {
 		reach := int32(0) // pairs on res whose clipped deadline is t+k or later
 		for k := depth - 1; k >= 0; k-- {
@@ -147,12 +148,6 @@ func (sc *roundScratch) buildGraph(w *core.Window, reqs []*core.Request, onlyFre
 	g.EndFill()
 	return wg
 }
-
-// resize returns s with length n, reusing its capacity when large enough
-// and growing it as append does otherwise, so a buffer that creeps up round
-// after round reallocates only logarithmically often. Contents are
-// unspecified.
-func resize(s []int32, n int) []int32 { return slices.Grow(s[:0], n)[:n] }
 
 // emptyMatching returns the scratch working matching, reset to the
 // dimensions of the scratch graph.

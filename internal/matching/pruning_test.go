@@ -172,32 +172,41 @@ func checkPruneCase(t *testing.T, sc *Scratch, c pruneCase) {
 }
 
 // runPruneInput decodes one fuzz input: each byte of shapes generates one
-// graph (kind from the low two bits, scale from the rest), all checked on a
-// single Scratch in sequence, so sizes grow and shrink across passes.
-func runPruneInput(t *testing.T, seed uint64, shapes []byte) {
+// graph (kind from the low bit, scale from the rest), then each byte of
+// covered generates one whose start covers every left or every right (kind 2
+// or 3 from the low bit, scale from the rest). All are checked on a single
+// Scratch in sequence, so sizes grow and shrink across passes.
+func runPruneInput(t *testing.T, seed uint64, shapes, covered []byte) {
 	if len(shapes) > 8 {
 		shapes = shapes[:8]
+	}
+	if len(covered) > 8 {
+		covered = covered[:8]
 	}
 	rng := rand.New(rand.NewPCG(seed, uint64(len(shapes))))
 	var sc Scratch
 	for _, b := range shapes {
-		checkPruneCase(t, &sc, genPruneCase(rng, int(b&3), 1+int(b>>2)%40))
+		checkPruneCase(t, &sc, genPruneCase(rng, int(b&1), 1+int(b>>1)%40))
+	}
+	for _, b := range covered {
+		checkPruneCase(t, &sc, genPruneCase(rng, 2+int(b&1), 1+int(b>>1)%40))
 	}
 }
 
 func FuzzAugmentPruning(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 1})
-	f.Add(uint64(2), []byte{79, 3, 41, 1})
-	f.Add(uint64(3), []byte{20, 60, 2, 77, 5, 33})
-	f.Add(uint64(4), []byte{255, 254, 9})
-	// Starts that cover every left (kind 2) and every right (kind 3).
-	f.Add(uint64(5), []byte{2, 3, 82, 83, 158, 159})
-	f.Add(uint64(6), []byte{254, 255, 42, 43})
+	f.Add(uint64(1), []byte{0, 1}, []byte(nil))
+	f.Add(uint64(2), []byte{79, 3, 41, 1}, []byte(nil))
+	f.Add(uint64(3), []byte{20, 60, 2, 77, 5, 33}, []byte(nil))
+	f.Add(uint64(4), []byte{255, 254, 9}, []byte(nil))
+	// Starts that cover every left (even bytes) and every right (odd bytes).
+	f.Add(uint64(5), []byte(nil), []byte{0, 1, 40, 41, 78, 79})
+	f.Add(uint64(6), []byte{1}, []byte{254, 255, 20, 21})
 	f.Fuzz(runPruneInput)
 }
 
-// TestAugmentPruningMatchesOracle is the fuzz target's property over a fixed
-// batch of generated inputs, so plain `go test` exercises it broadly.
+// TestAugmentPruningMatchesOracle is the fuzz target's property over fixed
+// batches of generated inputs, so plain `go test` exercises it broadly: one
+// of random and window-shaped graphs, one of starts covering a side.
 func TestAugmentPruningMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 16))
 	for i := 0; i < 400; i++ {
@@ -205,7 +214,15 @@ func TestAugmentPruningMatchesOracle(t *testing.T) {
 		for j := range shapes {
 			shapes[j] = byte(rng.IntN(256))
 		}
-		runPruneInput(t, rng.Uint64(), shapes)
+		runPruneInput(t, rng.Uint64(), shapes, nil)
+	}
+	rng = rand.New(rand.NewPCG(17, 17))
+	for i := 0; i < 200; i++ {
+		covered := make([]byte, 1+rng.IntN(6))
+		for j := range covered {
+			covered[j] = byte(rng.IntN(256))
+		}
+		runPruneInput(t, rng.Uint64(), nil, covered)
 	}
 }
 

@@ -235,13 +235,9 @@ func (m *Matching) Reset(nLeft, nRight int) {
 	m.R2L = resetNone(m.R2L, nRight)
 }
 
-// resetNone returns s re-sliced (or grown) to length n with every entry None.
+// resetNone returns s resized to length n (see resize) with every entry None.
 func resetNone(s []int32, n int) []int32 {
-	if n <= cap(s) {
-		s = s[:n]
-	} else {
-		s = make([]int32, n)
-	}
+	s = resize(s, n)
 	for i := range s {
 		s[i] = None
 	}

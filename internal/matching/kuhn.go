@@ -102,19 +102,15 @@ func (a *augmenter) beginPass(searches int) { a.dead = a.stamp + searches + 1 }
 // endPass closes the pass so the next one's stamps start above its dead mark.
 func (a *augmenter) endPass() { a.stamp = a.dead }
 
-// ensureLen returns s with length at least n, reusing capacity when possible.
-// Retained contents beyond the previous length are stale stamps from earlier
-// searches, which are always smaller than the current stamp.
+// ensureLen returns s with length at least n, reusing capacity when possible
+// and growing it as append does otherwise. Retained contents beyond the
+// previous length are zero or stale stamps from earlier searches, which are
+// always smaller than the current stamp.
 func ensureLen(s []int, n int) []int {
 	if n <= len(s) {
 		return s
 	}
-	if n <= cap(s) {
-		return s[:n]
-	}
-	ns := make([]int, n)
-	copy(ns, s)
-	return ns
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // augmentFromLeft searches for an augmenting path starting at free left vertex

@@ -55,126 +55,84 @@ const ingestBatchSize = 256
 // buffer its whole body.
 const maxLineBytes = 1 << 20
 
-// ingestBatch is one connection's pooled decode buffer: up to
-// ingestBatchSize records plus each line's byte offset. Record slots keep
-// their Alts capacity across batches and connections, so a warm daemon scans
-// and decodes canonical record lines without allocating (lines in any other
-// JSON spelling take encoding/json's allocating path); admission copies the
-// alternatives out.
+// ingestBatch is one ingest call's pooled state: the line reader, up to
+// ingestBatchSize decoded records plus each line's byte offset, the count of
+// records admitted so far and the reply. Record slots keep their Alts
+// capacity across batches and calls, so a warm daemon reads, scans and
+// decodes canonical record lines and answers a clean POST without
+// allocating (lines in any other JSON spelling take encoding/json's
+// allocating path); admission copies the alternatives out.
 type ingestBatch struct {
-	recs []trace.StreamRecord
-	offs []int64
+	br       *bufio.Reader
+	recs     []trace.StreamRecord
+	offs     []int64
+	accepted int
+	reply    ingestReply
 }
 
-var ingestPool = sync.Pool{New: func() any { return new(ingestBatch) }}
+func newIngestBatch() *ingestBatch { return &ingestBatch{br: bufio.NewReader(nil)} }
+
+var ingestPool = sync.Pool{New: func() any { return newIngestBatch() }}
+
+// release empties b, drops its reference to the request body and returns it
+// to the pool.
+func (b *ingestBatch) release() {
+	b.br.Reset(nil)
+	b.recs = b.recs[:0]
+	b.offs = b.offs[:0]
+	b.accepted = 0
+	b.reply = ingestReply{}
+	ingestPool.Put(b)
+}
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(r.Body)
+	b := ingestPool.Get().(*ingestBatch)
+	defer b.release()
+	s.ingest(w, r, b)
+}
+
+// ingest reads, admits and answers one ingest call on the per-call state b.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, b *ingestBatch) {
+	b.br.Reset(r.Body)
 	var off int64
-	accepted := 0
-	fail := func(status int, lineOff int64, format string, args ...any) {
-		rep := ingestReply{Accepted: accepted, Error: fmt.Sprintf(format, args...)}
-		if status == http.StatusBadRequest {
-			rep.Offset = &lineOff
-		}
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		}
-		writeJSON(w, status, rep)
-	}
-
-	batch := ingestPool.Get().(*ingestBatch)
-	defer func() {
-		batch.recs = batch.recs[:0]
-		batch.offs = batch.offs[:0]
-		ingestPool.Put(batch)
-	}()
-	// admit pushes the decoded batch through admission under one engine-lock
-	// acquisition. Record-at-a-time verdicts and order are preserved exactly;
-	// on a rejection it reports the failing record and everything admitted
-	// stays.
-	admit := func() (trace.StreamRecord, int64, admitVerdict) {
-		n := 0
-		verdict := admitOK
-		s.mu.Lock()
-		for _, rec := range batch.recs {
-			if verdict = s.admitLocked(rec); verdict != admitOK {
-				break
-			}
-			n++
-		}
-		s.mu.Unlock()
-		accepted += n
-		var failRec trace.StreamRecord
-		var failOff int64
-		if verdict != admitOK {
-			failRec, failOff = batch.recs[n], batch.offs[n]
-		}
-		batch.recs = batch.recs[:0]
-		batch.offs = batch.offs[:0]
-		return failRec, failOff, verdict
-	}
-	failVerdict := func(rec trace.StreamRecord, lineOff int64, verdict admitVerdict) {
-		switch verdict {
-		case admitDraining:
-			fail(http.StatusServiceUnavailable, lineOff, "server is draining")
-		case admitQueueFull:
-			fail(http.StatusTooManyRequests, lineOff,
-				"arrival queue full (%d)", s.cfg.QueueCap)
-		case admitOutOfOrder:
-			fail(http.StatusBadRequest, lineOff,
-				"arrival round %d is already closed (next round %d)", rec.T, s.nextRound())
-		case admitExpired:
-			fail(http.StatusBadRequest, lineOff,
-				"record expired on arrival: deadline %d before round %d", rec.Deadline(), s.nextRound())
-		case admitWindow:
-			fail(http.StatusBadRequest, lineOff,
-				"window %d exceeds server maximum %d", rec.D, s.cfg.MaxD)
-		case admitTooFar:
-			fail(http.StatusBadRequest, lineOff,
-				"arrival round %d is more than %d rounds past round %d", rec.T, maxRoundJump, s.nextRound())
-		}
-	}
-
 	sawHeader := false
 	index := 0
 	for {
-		line, next, err := trace.ScanJSONLineMax(br, off, maxLineBytes)
+		line, next, err := trace.ScanJSONLineMax(b.br, off, maxLineBytes)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			// Intact lines before the failure still admit (a rejection among
 			// them takes precedence — the client resolves it first).
-			if rec, failOff, v := admit(); v != admitOK {
-				failVerdict(rec, failOff, v)
+			if !b.admit(s, w) {
 				return
 			}
 			// A torn final line: the client got cut off mid-record. Reject
 			// the tail but keep everything before it.
 			if torn, ok := err.(*trace.TornTail); ok {
-				fail(http.StatusBadRequest, torn.Offset, "torn final line (no newline)")
+				b.fail(s, w, http.StatusBadRequest, torn.Offset, "torn final line (no newline)")
 				return
 			}
 			if long, ok := err.(*trace.LineTooLong); ok {
 				s.countReject(&s.rej.Malformed)
-				fail(http.StatusBadRequest, long.Offset, "line exceeds %d bytes", long.Max)
+				b.fail(s, w, http.StatusBadRequest, long.Offset, "line exceeds %d bytes", long.Max)
 				return
 			}
-			fail(http.StatusBadRequest, off, "read: %v", err)
+			b.fail(s, w, http.StatusBadRequest, off, "read: %v", err)
 			return
 		}
 		lineOff := off
 		off = next
 		// Extend by one slot, reviving a previous batch's slot (and its Alts
 		// buffer) when capacity allows.
-		if len(batch.recs) < cap(batch.recs) {
-			batch.recs = batch.recs[:len(batch.recs)+1]
+		if len(b.recs) < cap(b.recs) {
+			b.recs = b.recs[:len(b.recs)+1]
 		} else {
-			batch.recs = append(batch.recs, trace.StreamRecord{})
+			b.recs = append(b.recs, trace.StreamRecord{})
 		}
-		if err := trace.DecodeStreamRecordInto(&batch.recs[len(batch.recs)-1], line, s.cfg.N, s.cfg.D, index); err != nil {
-			batch.recs = batch.recs[:len(batch.recs)-1]
+		if err := trace.DecodeStreamRecordInto(&b.recs[len(b.recs)-1], line, s.cfg.N, s.cfg.D, index); err != nil {
+			b.recs = b.recs[:len(b.recs)-1]
 			// A leading stream header is allowed (so a trace file POSTs
 			// verbatim) but must match the daemon's contract. Only a line
 			// that is not a record is probed: a record always carries
@@ -183,7 +141,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				if n, d, ok := parseHeader(line); ok {
 					sawHeader = true
 					if n != s.cfg.N || d != s.cfg.D {
-						fail(http.StatusBadRequest, lineOff,
+						b.fail(s, w, http.StatusBadRequest, lineOff,
 							"stream header n=%d d=%d does not match server n=%d d=%d",
 							n, d, s.cfg.N, s.cfg.D)
 						return
@@ -191,28 +149,84 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 			}
-			if rec, failOff, v := admit(); v != admitOK {
-				failVerdict(rec, failOff, v)
+			if !b.admit(s, w) {
 				return
 			}
 			s.countReject(&s.rej.Malformed)
-			fail(http.StatusBadRequest, lineOff, "%v", err)
+			b.fail(s, w, http.StatusBadRequest, lineOff, "%v", err)
 			return
 		}
-		batch.offs = append(batch.offs, lineOff)
+		b.offs = append(b.offs, lineOff)
 		index++
-		if len(batch.recs) >= ingestBatchSize {
-			if rec, failOff, v := admit(); v != admitOK {
-				failVerdict(rec, failOff, v)
-				return
-			}
+		if len(b.recs) >= ingestBatchSize && !b.admit(s, w) {
+			return
 		}
 	}
-	if rec, failOff, v := admit(); v != admitOK {
-		failVerdict(rec, failOff, v)
+	if !b.admit(s, w) {
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestReply{Accepted: accepted})
+	b.reply.Accepted = b.accepted
+	writeJSON(w, http.StatusOK, &b.reply)
+}
+
+// admit pushes the decoded batch through admission under one engine-lock
+// acquisition and empties it. Record-at-a-time verdicts and order are
+// preserved exactly; on a rejection everything admitted before it stays, the
+// failing record's error reply is written and admit reports false.
+func (b *ingestBatch) admit(s *Server, w http.ResponseWriter) bool {
+	n := 0
+	verdict := admitOK
+	s.mu.Lock()
+	for _, rec := range b.recs {
+		if verdict = s.admitLocked(rec); verdict != admitOK {
+			break
+		}
+		n++
+	}
+	s.mu.Unlock()
+	b.accepted += n
+	if verdict != admitOK {
+		b.failVerdict(s, w, b.recs[n], b.offs[n], verdict)
+	}
+	b.recs = b.recs[:0]
+	b.offs = b.offs[:0]
+	return verdict == admitOK
+}
+
+// failVerdict writes the error reply for a record admitLocked refused.
+func (b *ingestBatch) failVerdict(s *Server, w http.ResponseWriter, rec trace.StreamRecord, lineOff int64, verdict admitVerdict) {
+	switch verdict {
+	case admitDraining:
+		b.fail(s, w, http.StatusServiceUnavailable, lineOff, "server is draining")
+	case admitQueueFull:
+		b.fail(s, w, http.StatusTooManyRequests, lineOff,
+			"arrival queue full (%d)", s.cfg.QueueCap)
+	case admitOutOfOrder:
+		b.fail(s, w, http.StatusBadRequest, lineOff,
+			"arrival round %d is already closed (next round %d)", rec.T, s.nextRound())
+	case admitExpired:
+		b.fail(s, w, http.StatusBadRequest, lineOff,
+			"record expired on arrival: deadline %d before round %d", rec.Deadline(), s.nextRound())
+	case admitWindow:
+		b.fail(s, w, http.StatusBadRequest, lineOff,
+			"window %d exceeds server maximum %d", rec.D, s.cfg.MaxD)
+	case admitTooFar:
+		b.fail(s, w, http.StatusBadRequest, lineOff,
+			"arrival round %d is more than %d rounds past round %d", rec.T, maxRoundJump, s.nextRound())
+	}
+}
+
+// fail writes an error reply carrying the records accepted so far; a 400
+// names the offending line's byte offset.
+func (b *ingestBatch) fail(s *Server, w http.ResponseWriter, status int, lineOff int64, format string, args ...any) {
+	b.reply = ingestReply{Accepted: b.accepted, Error: fmt.Sprintf(format, args...)}
+	if status == http.StatusBadRequest {
+		b.reply.Offset = &lineOff
+	}
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+	}
+	writeJSON(w, status, &b.reply)
 }
 
 // countReject bumps one rejection counter under the engine mutex, for
@@ -297,8 +311,13 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'f', 4, 64)
 }
 
+// jsonContentType is every JSON reply's Content-Type header value. Assigning
+// it to the header map directly skips the slice Header().Set allocates per
+// call.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

@@ -186,6 +186,7 @@ func (s *Server) optWorker() {
 			for _, r := range job.batch.recs {
 				inc.Add(r.Arrive, r.D, r.Alts)
 			}
+			clear(job.batch.recs) // a pooled batch must not keep requests reachable
 			job.batch.recs = job.batch.recs[:0]
 			batchPool.Put(job.batch)
 		}
@@ -278,16 +279,29 @@ func (s *Server) admitLocked(rec trace.StreamRecord) admitVerdict {
 		s.rej.QueueFull++
 		return admitQueueFull
 	}
-	r := &core.Request{
-		ID:     s.nextID,
-		Arrive: rec.T,
-		Alts:   append([]int(nil), rec.Alts...),
-		D:      rec.D,
-		W:      rec.W,
+	var r *core.Request
+	if k := len(rec.Alts); k <= len(admitted{}.alts) {
+		a := &admitted{}
+		copy(a.alts[:], rec.Alts)
+		a.Alts = a.alts[:k:k]
+		r = &a.Request
+	} else {
+		r = &core.Request{Alts: append([]int(nil), rec.Alts...)}
 	}
+	r.ID, r.Arrive, r.D, r.W = s.nextID, rec.T, rec.D, rec.W
 	s.nextID++
 	s.queue = append(s.queue, r)
 	return admitOK
+}
+
+// admitted is an admitted request together with its alternatives, so a
+// record of the paper's model (two alternatives) costs one allocation: the
+// pair fills the same 80-byte size class as a Request and a separate copy of
+// its Alts. Alts is capped at the record's length, so an append to it can
+// never write past the array.
+type admitted struct {
+	core.Request
+	alts [2]int
 }
 
 // flushLocked admits the queued batch to the engine at round s.batchT:
@@ -315,6 +329,7 @@ func (s *Server) flushLocked() {
 	}
 	s.runToLocked(t)
 	s.st.Step(s.queue)
+	clear(s.queue) // the slots would keep served and expired requests reachable
 	s.queue = s.queue[:0]
 }
 

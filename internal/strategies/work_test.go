@@ -44,3 +44,35 @@ func TestRoundSearchWork(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundAllocsFlatInRounds pins that the matching strategies' rounds
+// allocate nothing once their scratch has grown: a run four times longer
+// on BenchmarkEngine's workload counts exactly the same allocations. Scratch
+// that grew to exactly the requested length reallocated whenever the window
+// grew by one more request, which adds allocations with every extra round.
+func TestRoundAllocsFlatInRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow with -short")
+	}
+	trace := func(rounds int) *core.Trace {
+		return workload.Uniform(workload.Config{N: 16, D: 6, Rounds: rounds, Rate: 18, Seed: 11})
+	}
+	short, long := trace(300), trace(1200)
+	for _, c := range []struct {
+		name   string
+		router func() policy.Router
+	}{
+		{"A_fix_balance", func() policy.Router { return NewFixBalanceRouter() }},
+		{"A_eager", func() policy.Router { return NewEagerRouter() }},
+		{"A_balance", func() policy.Router { return NewBalanceRouter() }},
+	} {
+		allocs := func(tr *core.Trace) float64 {
+			return testing.AllocsPerRun(3, func() { core.Run(canonical(c.name, c.router()), tr) })
+		}
+		a300, a1200 := allocs(short), allocs(long)
+		t.Logf("%s: %v allocs per run at 300 rounds, %v at 1200", c.name, a300, a1200)
+		if a1200 != a300 {
+			t.Errorf("%s: %v allocs at 1200 rounds vs %v at 300: the rounds allocate", c.name, a1200, a300)
+		}
+	}
+}

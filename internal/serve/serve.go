@@ -279,26 +279,20 @@ func (s *Server) admitLocked(rec trace.StreamRecord) admitVerdict {
 		s.rej.QueueFull++
 		return admitQueueFull
 	}
-	var r *core.Request
-	if k := len(rec.Alts); k <= len(admitted{}.alts) {
-		a := &admitted{}
-		copy(a.alts[:], rec.Alts)
-		a.Alts = a.alts[:k:k]
-		r = &a.Request
-	} else {
-		r = &core.Request{Alts: append([]int(nil), rec.Alts...)}
-	}
+	a := &admitted{}
+	a.Alts = append(a.alts[:0], rec.Alts...)
+	r := &a.Request
 	r.ID, r.Arrive, r.D, r.W = s.nextID, rec.T, rec.D, rec.W
 	s.nextID++
 	s.queue = append(s.queue, r)
 	return admitOK
 }
 
-// admitted is an admitted request together with its alternatives, so a
-// record of the paper's model (two alternatives) costs one allocation: the
-// pair fills the same 80-byte size class as a Request and a separate copy of
-// its Alts. Alts is capped at the record's length, so an append to it can
-// never write past the array.
+// admitted is an admitted request together with room for its alternatives.
+// A record of at most two alternatives (the paper's model has two) keeps
+// them in the array, so it costs one allocation in the same 80-byte size
+// class as a Request and a separate copy of its Alts; a longer record's
+// append spills to a separate slice.
 type admitted struct {
 	core.Request
 	alts [2]int

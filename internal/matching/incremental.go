@@ -47,6 +47,8 @@ type Incremental struct {
 	gen   uint32
 	deadR []uint32 // gen when right vertex joined a saturated region
 	trail []int32  // rights visited by the current search, for marking
+
+	work Work // searches started and rerouted rights they marked, over the matcher's life
 }
 
 // NewIncremental returns an empty incremental matcher.
@@ -63,6 +65,13 @@ func (inc *Incremental) NRight() int { return len(inc.r2l) }
 // Size returns the current matching cardinality — the maximum matching of
 // every edge added so far.
 func (inc *Incremental) Size() int { return inc.size }
+
+// Work returns the search effort accumulated over the matcher's life, Rewind
+// included: one search per AddLeft, and the matched rights each search
+// entered to reroute their partners (a free right taken directly is not
+// counted). Like Scratch.Work, the counts depend only on the inputs and the
+// code, so tests pin them exactly.
+func (inc *Incremental) Work() Work { return inc.work }
 
 // MatchedRight returns the right vertex matched to left vertex l, or None.
 func (inc *Incremental) MatchedRight(l int) int32 { return inc.l2r[l] }
@@ -113,7 +122,9 @@ func (inc *Incremental) AddLeft(neighbors []int32) bool {
 		inc.stamp = 1
 	}
 	inc.trail = inc.trail[:0]
-	if inc.augment(l) {
+	grew := inc.augment(l)
+	inc.work.add(len(inc.trail))
+	if grew {
 		inc.size++
 		return true
 	}

@@ -108,14 +108,19 @@ func (o *IncrementalOpt) Seal() int {
 // OptimumIncremental returns exactly Optimum(tr), computed by feeding the
 // trace's requests in arrival order through an IncrementalOpt — the
 // single-pass O(request × path) shape the serve rolling-ratio worker uses,
-// exposed whole-trace for verification and benchmarks. The matcher is sealed
-// at core.Segmenter's clean cuts, so right-vertex rows restart at the new
-// base and memory stays proportional to the widest open window, not the
-// horizon; maximum matching decomposes over the independent pieces, so the
-// seals do not change the value. It is kept beside Solve because cmd/bench's
-// gated incremental_opt section times it.
+// exposed whole-trace for verification. The matcher is sealed at
+// core.Segmenter's clean cuts, so right-vertex rows restart at the new base
+// and memory stays proportional to the widest open window, not the horizon;
+// maximum matching decomposes over the independent pieces, so the seals do
+// not change the value. It is kept beside Solve for cmd/verify's
+// incremental-OPT checks and for the exact work and allocation pins of
+// TestIncrementalOptWork.
 func OptimumIncremental(tr *core.Trace) int {
-	o := NewIncrementalOptModel(tr.N, tr.Model)
+	return NewIncrementalOptModel(tr.N, tr.Model).feed(tr)
+}
+
+// feed runs OptimumIncremental's pass on o, which must have no open segment.
+func (o *IncrementalOpt) feed(tr *core.Trace) int {
 	cut := core.NewSegmenter(tr.Model)
 	opt := 0
 	for t := range tr.Arrivals {

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"sync"
 
+	"reqsched/internal/core"
 	"reqsched/internal/trace"
 )
 
@@ -134,16 +135,17 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, b *ingestBatch) 
 		if err := trace.DecodeStreamRecordInto(&b.recs[len(b.recs)-1], line, s.cfg.N, s.cfg.D, index); err != nil {
 			b.recs = b.recs[:len(b.recs)-1]
 			// A leading stream header is allowed (so a trace file POSTs
-			// verbatim) but must match the daemon's contract. Only a line
-			// that is not a record is probed: a record always carries
-			// alternatives, so parseHeader would refuse it anyway.
+			// verbatim) but must match the daemon's contract, service model
+			// included. Only a line that is not a record is probed: a record
+			// always carries alternatives, so the header decoder would refuse
+			// it anyway.
 			if !sawHeader && index == 0 {
-				if n, d, ok := parseHeader(line); ok {
+				if n, d, m, err := trace.DecodeStreamHeader(line); err == nil {
 					sawHeader = true
-					if n != s.cfg.N || d != s.cfg.D {
+					if n != s.cfg.N || d != s.cfg.D || m != s.cfg.Model {
 						b.fail(s, w, http.StatusBadRequest, lineOff,
-							"stream header n=%d d=%d does not match server n=%d d=%d",
-							n, d, s.cfg.N, s.cfg.D)
+							"stream header %s does not match server %s",
+							contract(n, d, m), contract(s.cfg.N, s.cfg.D, s.cfg.Model))
 						return
 					}
 					continue
@@ -237,22 +239,13 @@ func (s *Server) countReject(c *int) {
 	s.mu.Unlock()
 }
 
-// parseHeader reports whether line is a bare stream header — an object with
-// "n" and no "alts". Records always carry "alts", so the two cannot collide,
-// and ingest probes only a first line that fails to decode as a record.
-func parseHeader(line []byte) (n, d int, ok bool) {
-	var h struct {
-		N    int   `json:"n"`
-		D    int   `json:"d"`
-		Alts []int `json:"alts"`
+// contract spells a stream contract for a header mismatch reply, naming the
+// service model only when it is not the unit model.
+func contract(n, d int, m core.ServiceModel) string {
+	if m.IsUnit() {
+		return fmt.Sprintf("n=%d d=%d", n, d)
 	}
-	if err := json.Unmarshal(line, &h); err != nil {
-		return 0, 0, false
-	}
-	if h.Alts != nil || h.N == 0 {
-		return 0, 0, false
-	}
-	return h.N, h.D, true
+	return fmt.Sprintf("n=%d d=%d %s", n, d, m)
 }
 
 func (s *Server) nextRound() int {

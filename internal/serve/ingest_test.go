@@ -13,30 +13,43 @@ import (
 	"strings"
 	"testing"
 
+	"reqsched/internal/core"
 	"reqsched/internal/serve"
 	"reqsched/internal/strategies"
 	"reqsched/internal/workload"
 )
 
 // TestIngestHeaderDetection pins which first lines count as a stream header:
-// encoding/json's case-insensitive key matching applies, a mismatched header
-// is refused, and a body that opens with a record admits it.
+// encoding/json's case-insensitive key matching applies, a header whose n, d
+// or service model differs from the daemon's is refused, and a body that
+// opens with a record admits it.
 func TestIngestHeaderDetection(t *testing.T) {
 	const rec = `{"t":0,"alts":[1,2]}` + "\n"
+	hold2 := core.ServiceModel{Hold: 2, Cap: 1}
 	for _, tc := range []struct {
 		name, body string
+		model      core.ServiceModel
 		status     int
 		accepted   int
 		errPart    string
 	}{
-		{"header", `{"n":16,"d":4}` + "\n" + rec, http.StatusOK, 1, ""},
-		{"upper-case header", `{"N":16,"D":4}` + "\n" + rec, http.StatusOK, 1, ""},
-		{"mismatched header", `{"n":8,"d":4}` + "\n" + rec, http.StatusBadRequest, 0, "stream header n=8 d=4 does not match server n=16 d=4"},
-		{"record first", rec + rec, http.StatusOK, 2, ""},
-		{"header after a record", rec + `{"n":16,"d":4}` + "\n", http.StatusBadRequest, 1, "stream request 1 has no alternatives"},
+		{"header", `{"n":16,"d":4}` + "\n" + rec, core.ServiceModel{}, http.StatusOK, 1, ""},
+		{"upper-case header", `{"N":16,"D":4}` + "\n" + rec, core.ServiceModel{}, http.StatusOK, 1, ""},
+		{"mismatched header", `{"n":8,"d":4}` + "\n" + rec, core.ServiceModel{}, http.StatusBadRequest, 0, "stream header n=8 d=4 does not match server n=16 d=4"},
+		{"record first", rec + rec, core.ServiceModel{}, http.StatusOK, 2, ""},
+		{"header after a record", rec + `{"n":16,"d":4}` + "\n", core.ServiceModel{}, http.StatusBadRequest, 1, "stream request 1 has no alternatives"},
+		{"hold header to a unit server", `{"n":16,"d":4,"hold":2,"cap":1}` + "\n" + rec, core.ServiceModel{}, http.StatusBadRequest, 0,
+			"stream header n=16 d=4 hold=2,cap=1 does not match server n=16 d=4"},
+		{"unit header to a hold server", `{"n":16,"d":4}` + "\n" + rec, hold2, http.StatusBadRequest, 0,
+			"stream header n=16 d=4 does not match server n=16 d=4 hold=2,cap=1"},
+		{"hold header to a hold server", `{"n":16,"d":4,"hold":2}` + "\n" + rec, hold2, http.StatusOK, 1, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newServer(t, serve.Config{N: 16, D: 4, Virtual: true})
+			cfg := serve.Config{N: 16, D: 4, Virtual: true, Model: tc.model}
+			if !tc.model.IsUnit() {
+				cfg.Strategy = strategies.NewFirstFit()
+			}
+			_, ts := newServer(t, cfg)
 			status, rep, _ := post(t, ts, tc.body)
 			if status != tc.status || rep.Accepted != tc.accepted || !strings.Contains(rep.Error, tc.errPart) {
 				t.Fatalf("status %d, reply %+v; want status %d, %d accepted, error containing %q",
@@ -263,6 +276,7 @@ func FuzzIngestBody(f *testing.F) {
 		`{"t":1,"d":1,"w":2,"alts":[3]}` + "\n" + `{"alts":[0`,
 		`{"alts":[0,1]}` + "\n" + strings.Repeat("x", serve.MaxLineBytes+1),
 		`{"n":5,"d":2}` + "\n" + `{"alts":[0,1]}` + "\n",
+		`{"n":4,"d":2,"hold":2,"cap":1}` + "\n" + `{"alts":[0,1]}` + "\n",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -269,19 +269,34 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		return nil, fmt.Errorf("trace: stream header: %w", err)
 	}
 	sr.offset = next
-	var h streamHeader
+	if sr.n, sr.d, sr.model, err = DecodeStreamHeader(line); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// DecodeStreamHeader decodes and validates one stream header line: n and d
+// at least 1 and a valid service model, returned normalized (unit when the
+// line names none). A line that carries "alts" is a record, never a header.
+func DecodeStreamHeader(line []byte) (n, d int, m core.ServiceModel, err error) {
+	var h struct {
+		streamHeader
+		Alts json.RawMessage `json:"alts"`
+	}
 	if err := json.Unmarshal(line, &h); err != nil {
-		return nil, fmt.Errorf("trace: stream header: %w", err)
+		return 0, 0, m, fmt.Errorf("trace: stream header: %w", err)
 	}
 	if h.N < 1 || h.D < 1 {
-		return nil, fmt.Errorf("trace: invalid stream header n=%d d=%d", h.N, h.D)
+		return 0, 0, m, fmt.Errorf("trace: invalid stream header n=%d d=%d", h.N, h.D)
 	}
-	m := core.ServiceModel{Hold: h.Hold, Cap: h.Cap}
+	if h.Alts != nil {
+		return 0, 0, m, errors.New("trace: stream header carries alts")
+	}
+	m = core.ServiceModel{Hold: h.Hold, Cap: h.Cap}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: stream header: %w", err)
+		return 0, 0, m, fmt.Errorf("trace: stream header: %w", err)
 	}
-	sr.n, sr.d, sr.model = h.N, h.D, m.Norm()
-	return sr, nil
+	return h.N, h.D, m.Norm(), nil
 }
 
 // N returns the number of resources; D the default deadline window.

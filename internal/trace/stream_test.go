@@ -145,6 +145,8 @@ func TestStreamReaderRejectsMalformed(t *testing.T) {
 		{"empty", ""},
 		{"garbage header", "not json\n"},
 		{"bad header values", `{"n":0,"d":2}` + "\n"},
+		{"header with alternatives", `{"n":2,"d":2,"alts":[0]}` + "\n"},
+		{"bad header model", `{"n":2,"d":2,"hold":-1}` + "\n"},
 		{"garbage record", `{"n":2,"d":2}` + "\n" + "nope\n"},
 		{"record out of range", `{"n":2,"d":2}` + "\n" + `{"t":0,"alts":[5]}` + "\n"},
 		{"decreasing rounds", `{"n":2,"d":2}` + "\n" + `{"t":3,"alts":[0]}` + "\n" + `{"t":1,"alts":[0]}` + "\n"},

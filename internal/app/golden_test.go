@@ -272,7 +272,7 @@ func TestTracegenGolden(t *testing.T) {
 func TestListDescribeEveryBinary(t *testing.T) {
 	mains := map[string]mainFunc{
 		"sweep": SweepMain, "paper": PaperMain, "schedsim": SchedsimMain,
-		"table1": Table1Main, "lowerbounds": LowerboundsMain, "bench": BenchMain,
+		"table1": Table1Main, "lowerbounds": LowerboundsMain,
 		"verify": VerifyMain, "tracegen": TracegenMain, "gridworker": GridworkerMain,
 		"serve": ServeMain,
 	}

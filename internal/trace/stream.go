@@ -292,11 +292,11 @@ func DecodeStreamHeader(line []byte) (n, d int, m core.ServiceModel, err error) 
 	if h.Alts != nil {
 		return 0, 0, m, errors.New("trace: stream header carries alts")
 	}
-	m = core.ServiceModel{Hold: h.Hold, Cap: h.Cap}
-	if err := m.Validate(); err != nil {
+	model := core.ServiceModel{Hold: h.Hold, Cap: h.Cap}
+	if err := model.Validate(); err != nil {
 		return 0, 0, m, fmt.Errorf("trace: stream header: %w", err)
 	}
-	return h.N, h.D, m.Norm(), nil
+	return h.N, h.D, model.Norm(), nil
 }
 
 // N returns the number of resources; D the default deadline window.

@@ -17,7 +17,7 @@ import (
 //	tracegen gen  -adversary balance -params x=2,k=16 -out balance.json
 //	tracegen gen  -workload bursty -rounds 100000 -stream -out trace.jsonl
 //	tracegen info -in trace.json
-//	tracegen info -in trace.jsonl -stream -workers 4
+//	tracegen info -in trace.jsonl -stream
 //	tracegen run  -in trace.json -strategy A_balance
 //
 // Workloads and adversaries resolve by registry name (-list shows the
@@ -201,7 +201,6 @@ func tracegenInfo(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("tracegen info", stderr)
 	in := fs.String("in", "", "trace file")
 	stream := fs.Bool("stream", false, "treat the input as a JSONL stream; evaluate segment by segment")
-	workers := workersFlag(fs)
 	if ok, code := parse(fs, args); !ok {
 		return code
 	}
@@ -215,7 +214,7 @@ func tracegenInfo(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		opt, nsegs, err := reqsched.OptimumStream(reqsched.TraceSegments(f), resolveWorkers(*workers))
+		opt, nsegs, err := reqsched.OptimumStream(reqsched.TraceSegments(f))
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

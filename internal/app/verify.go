@@ -18,6 +18,7 @@ import (
 	"reqsched/internal/core"
 	"reqsched/internal/grid"
 	"reqsched/internal/grid/chaos"
+	"reqsched/internal/offline"
 )
 
 type verifyCheck struct {
@@ -123,19 +124,21 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	add("EDF single-choice optimal", edf.Fulfilled == reqsched.Optimum(single),
 		"EDF %d vs OPT %d", edf.Fulfilled, reqsched.Optimum(single))
 
-	// 4. Segmented parallel OPT agrees with the monolithic solver on every
-	// oblivious Table 1 adversary trace and a batch of random workloads.
-	// (Adaptive constructions have no fixed trace; the offline package's
-	// property tests cover their materialized runs.)
+	// 4. The offline optimum — the incremental pass, one augmenting-path
+	// search per request sealed at clean segment cuts, which the serve
+	// daemon's rolling ratio also runs — agrees with Kuhn's search over the
+	// full, uncut graph on every oblivious Table 1 adversary trace and a
+	// batch of random workloads. (Adaptive constructions have no fixed trace;
+	// the offline package's property tests cover their materialized runs.)
 	for _, r := range rows {
 		tr := r.build().Trace
 		if tr == nil {
 			continue
 		}
-		want := reqsched.Optimum(tr)
-		got, _ := reqsched.Solve(tr, reqsched.Cardinality, w)
-		add("segmented OPT: "+r.name, got == want,
-			"parallel %d vs monolithic %d (%d segments)", got, want, reqsched.TraceSegmentCount(tr))
+		got := reqsched.Optimum(tr)
+		_, want := offline.OptimumMatching(tr)
+		add("OPT: "+r.name, got == want,
+			"incremental %d vs Kuhn %d (%d segments)", got, want, reqsched.TraceSegmentCount(tr))
 	}
 	rng := rand.New(rand.NewSource(424242))
 	mismatches, trials := 0, 40
@@ -152,49 +155,12 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 			cfg.Rate = 0
 			tr = reqsched.Bursty(cfg, 3, 2+rng.Intn(6), r)
 		}
-		if got, _ := reqsched.Solve(tr, reqsched.Cardinality, w); got != reqsched.Optimum(tr) {
+		if _, want := offline.OptimumMatching(tr); reqsched.Optimum(tr) != want {
 			mismatches++
 		}
 	}
-	add("segmented OPT: random traces", mismatches == 0,
+	add("OPT: random traces", mismatches == 0,
 		"%d/%d random workloads mismatched", mismatches, trials)
-
-	// 4a. The incremental rolling optimum — one maintained matching, one
-	// augmenting-path search per request, sealed at clean segment cuts —
-	// agrees with the monolithic solver on every oblivious Table 1 adversary
-	// trace and a fresh batch of random workloads. This is the solver behind
-	// the serve daemon's rolling ratio and the streamed adaptive measurement.
-	for _, r := range rows {
-		tr := r.build().Trace
-		if tr == nil {
-			continue
-		}
-		want := reqsched.Optimum(tr)
-		got := reqsched.OptimumIncremental(tr)
-		add("incremental OPT: "+r.name, got == want,
-			"incremental %d vs monolithic %d (%d segments)", got, want, reqsched.TraceSegmentCount(tr))
-	}
-	irng := rand.New(rand.NewSource(424242))
-	incMismatches, incTrials := 0, 40
-	for i := 0; i < incTrials; i++ {
-		cfg := reqsched.WorkloadConfig{
-			N: 2 + irng.Intn(8), D: 1 + irng.Intn(5), Rounds: 20 + irng.Intn(60),
-			Rate: irng.Float64() * 12, Seed: irng.Int63(),
-		}
-		var tr *reqsched.Trace
-		if i%2 == 0 {
-			tr = reqsched.Uniform(cfg)
-		} else {
-			r := cfg.Rate
-			cfg.Rate = 0
-			tr = reqsched.Bursty(cfg, 3, 2+irng.Intn(6), r)
-		}
-		if reqsched.OptimumIncremental(tr) != reqsched.Optimum(tr) {
-			incMismatches++
-		}
-	}
-	add("incremental OPT: random traces", incMismatches == 0,
-		"%d/%d random workloads mismatched", incMismatches, incTrials)
 
 	// 4b. The weighted segmented solvers agree with their monolithic
 	// counterparts: identical max profit and identical minimum latency on
@@ -265,8 +231,8 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	composeChecks(add)
 
 	// 4f. Reusable resources: hold_squeeze forces the greedy router to
-	// exactly the factor-2 charging bound, and batch, segmented and
-	// incremental offline optima agree under hold x cap service-model grids.
+	// exactly the factor-2 charging bound, and the incremental optimum agrees
+	// with Kuhn's under hold x cap service-model grids.
 	modelChecks(add, w)
 
 	// 5. Fault-tolerant grid: deterministic manifests, journal resume with

@@ -49,26 +49,21 @@ func sameSchedule(t *testing.T, label string, a, b *core.Result) {
 	}
 }
 
-// optimaAgree checks that batch, segmented-parallel and incremental OPT agree
-// on tr, and that the explicit-unit copy yields the same value from each.
+// optimaAgree checks that the incremental OPT agrees with Kuhn's search over
+// the full graph on tr, and that the explicit-unit copy yields the same value
+// from each.
 func optimaAgree(t *testing.T, label string, tr *core.Trace) {
 	t.Helper()
 	want := offline.Optimum(tr)
-	if got, _ := offline.Solve(tr, offline.Cardinality, 3); got != want {
-		t.Errorf("%s: segmented OPT %d vs batch %d", label, got, want)
-	}
-	if got := offline.OptimumIncremental(tr); got != want {
-		t.Errorf("%s: incremental OPT %d vs batch %d", label, got, want)
+	if _, got := offline.OptimumMatching(tr); got != want {
+		t.Errorf("%s: Kuhn OPT %d vs incremental %d", label, got, want)
 	}
 	cp := explicitUnit(tr)
 	if got := offline.Optimum(cp); got != want {
-		t.Errorf("%s: explicit unit model changed batch OPT: %d vs %d", label, got, want)
-	}
-	if got, _ := offline.Solve(cp, offline.Cardinality, 3); got != want {
-		t.Errorf("%s: explicit unit model changed segmented OPT: %d vs %d", label, got, want)
-	}
-	if got := offline.OptimumIncremental(cp); got != want {
 		t.Errorf("%s: explicit unit model changed incremental OPT: %d vs %d", label, got, want)
+	}
+	if _, got := offline.OptimumMatching(cp); got != want {
+		t.Errorf("%s: explicit unit model changed Kuhn OPT: %d vs %d", label, got, want)
 	}
 }
 

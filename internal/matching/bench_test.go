@@ -6,63 +6,10 @@ import (
 	"testing"
 )
 
-// Benchmarks for the matching substrate: the offline optimum spends its time
-// in Hopcroft–Karp over request/slot graphs and the strategies in the
-// weight-class greedy, so their scaling matters for large reproductions.
-
-func benchGraphs(b *testing.B, build func(rng *rand.Rand) *Graph) []*Graph {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	gs := make([]*Graph, 8)
-	for i := range gs {
-		gs[i] = build(rng)
-	}
-	return gs
-}
-
-func BenchmarkHopcroftKarp(b *testing.B) {
-	for _, size := range []struct {
-		name        string
-		nl, nRes, d int
-	}{
-		{"1k", 1000, 16, 8},
-		{"10k", 10000, 32, 8},
-		{"50k", 50000, 64, 8},
-	} {
-		size := size
-		b.Run(size.name, func(b *testing.B) {
-			gs := benchGraphs(b, func(rng *rand.Rand) *Graph {
-				return twoChoiceGraph(rng, size.nl, size.nRes, size.d)
-			})
-			b.ResetTimer()
-			var total int
-			for i := 0; i < b.N; i++ {
-				total += HopcroftKarp(gs[i%len(gs)]).Size()
-			}
-			b.ReportMetric(float64(gs[0].NumEdges()), "edges")
-		})
-	}
-}
-
-func BenchmarkKuhnVsHK(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := twoChoiceGraph(rng, 20000, 32, 6)
-	b.Run("Kuhn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Kuhn(g)
-		}
-	})
-	b.Run("HopcroftKarp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			HopcroftKarp(g)
-		}
-	})
-	b.Run("DinicFlow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MaxMatchingByFlow(g)
-		}
-	})
-}
+// Benchmarks for the matching substrate: the strategies spend their time in
+// the weight-class greedy and its relocation searches, so their scaling
+// matters for large reproductions. The offline optimum's incremental pass is
+// timed in internal/offline.
 
 func BenchmarkLexMax(b *testing.B) {
 	for _, nClasses := range []int{2, 8, 32} {
@@ -114,7 +61,7 @@ func BenchmarkSymmetricDifference(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	g := twoChoiceGraph(rng, 20000, 32, 6)
 	m1 := GreedyMaximal(g)
-	m2 := HopcroftKarp(g)
+	m2 := Kuhn(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SymmetricDifference(m1, m2)

@@ -1,7 +1,7 @@
 package matching
 
 // Brute-force reference solvers. Exponential-time, used only in tests on
-// small graphs to validate the production algorithms (Kuhn, Hopcroft–Karp,
+// small graphs to validate the production algorithms (Kuhn, Incremental,
 // LexMax, MinCostMatching).
 
 // BruteMaximumSize returns the maximum matching cardinality of g by exhaustive

@@ -79,7 +79,7 @@ func TestSymmetricDifferenceCardinalityIdentity(t *testing.T) {
 		nr := 1 + rng.Intn(10)
 		g := randomGraph(rng, nl, nr, 0.35)
 		m1 := GreedyMaximal(g)
-		m2 := HopcroftKarp(g)
+		m2 := Kuhn(g)
 		comps := SymmetricDifference(m1, m2)
 		lhs := m2.Size() - m1.Size()
 		rhs := countAugmenting(comps, m1) - countAugmenting(comps, m2)

@@ -107,7 +107,7 @@ func min32(a, b int32) int32 {
 }
 
 // MaxMatchingByFlow computes the maximum matching cardinality of g via Dinic
-// max flow. It is O(E sqrt(V)) like Hopcroft–Karp and exists purely as an
+// max flow (O(E sqrt(V)) on unit-capacity networks) and exists purely as an
 // independent implementation for cross-checking.
 func MaxMatchingByFlow(g *Graph) int {
 	nl, nr := g.NLeft(), g.NRight()

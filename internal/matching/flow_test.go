@@ -100,7 +100,7 @@ func TestMinCostMatchingCardinalityEqualsHK(t *testing.T) {
 		if err := Verify(g, m); err != nil {
 			t.Fatal(err)
 		}
-		if m.Size() != HopcroftKarp(g).Size() {
+		if m.Size() != MaxMatchingByFlow(g) {
 			t.Fatalf("trial %d: MCMF matching not maximum", trial)
 		}
 	}

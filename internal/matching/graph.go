@@ -1,8 +1,9 @@
 // Package matching provides the bipartite-matching substrate used throughout the
-// reproduction: maximum matchings (Kuhn, Hopcroft–Karp), greedy maximal
-// matchings, weight-class (transversal-matroid) greedy for the balance
-// strategies, Mendelsohn–Dulmage merging, alternating-path exchanges, max-flow
-// and min-cost-flow cross-checks, and brute-force reference solvers for tests.
+// reproduction: maximum matchings (Kuhn, and Incremental for graphs that grow
+// one left vertex at a time), weight-class (transversal-matroid) greedy for
+// the balance strategies, Mendelsohn–Dulmage merging, alternating-path
+// exchanges, max-flow and min-cost-flow cross-checks, and brute-force
+// reference solvers for tests.
 //
 // Graphs are bipartite with an explicit left side (requests, in the scheduling
 // application) and right side (time slots). All algorithms are deterministic:

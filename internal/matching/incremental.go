@@ -3,8 +3,8 @@ package matching
 // Incremental maintains a maximum matching over a bipartite graph that grows
 // one left vertex at a time — the online shape of the offline optimum: each
 // new request (left vertex) arrives with its slot edges, and the matching is
-// repaired with a single augmenting-path search instead of recomputing
-// Hopcroft–Karp over the whole graph.
+// repaired with a single augmenting-path search instead of recomputing a
+// maximum matching over the whole graph.
 //
 // Correctness rests on the classic induction: if the current matching is
 // maximum and one left vertex is added, the new maximum is larger by at most
@@ -12,8 +12,8 @@ package matching
 // (free) vertex — a path avoiding it would already have augmented the old
 // graph. One search from the new vertex therefore restores maximality, so
 // after every AddLeft the size equals the maximum matching cardinality of the
-// graph seen so far, bit for bit what HopcroftKarp reports on the same edges
-// (cardinality is search-order-independent).
+// graph seen so far, bit for bit what Kuhn or the Dinic flow oracle report on
+// the same edges (cardinality is search-order-independent).
 //
 // Adjacency is stored flat (CSR): left vertex l's right neighbors occupy
 // adj[start[l]:start[l+1]]. All buffers, including the stamp-based visited
@@ -41,7 +41,7 @@ type Incremental struct {
 	// of failed searches: each right is fully explored by at most one
 	// failure instead of by every one. Without this, an oversubscribed
 	// segment pays Θ(E) per failed insertion — the Kuhn worst case that made
-	// the incremental path slower than batched Hopcroft–Karp. The one-shot
+	// the incremental path slower than a batched solve. The one-shot
 	// augmenter behind ExtendFromLeft/ExtendFromRight prunes the same way
 	// within one pass.
 	gen   uint32

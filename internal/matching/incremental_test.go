@@ -34,9 +34,9 @@ func feed(inc *Incremental, rows [][]int32, nr int) *Graph {
 	return g
 }
 
-// TestIncrementalEqualsHopcroftKarp pins the induction: after every AddLeft
-// the maintained size equals Hopcroft–Karp on the prefix graph.
-func TestIncrementalEqualsHopcroftKarp(t *testing.T) {
+// TestIncrementalEqualsFlow pins the induction: after every AddLeft the
+// maintained size equals the Dinic max-flow oracle on the prefix graph.
+func TestIncrementalEqualsFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		nl, nr := 1+rng.Intn(40), 1+rng.Intn(30)
@@ -51,8 +51,8 @@ func TestIncrementalEqualsHopcroftKarp(t *testing.T) {
 			inc.AddLeft(row)
 			// Prefix graph: only the first l+1 left vertices carry edges, the
 			// rest are isolated and cannot affect the maximum.
-			if want := HopcroftKarp(g).Size(); inc.Size() != want {
-				t.Fatalf("trial %d after left %d: incremental %d, HK %d", trial, l, inc.Size(), want)
+			if want := MaxMatchingByFlow(g); inc.Size() != want {
+				t.Fatalf("trial %d after left %d: incremental %d, flow %d", trial, l, inc.Size(), want)
 			}
 		}
 	}
@@ -96,8 +96,8 @@ func TestIncrementalRewind(t *testing.T) {
 		nl, nr := 1+rng.Intn(30), 1+rng.Intn(25)
 		rows := randomRows(rng, nl, nr, 4)
 		g := feed(inc, rows, nr)
-		if want := HopcroftKarp(g).Size(); inc.Size() != want {
-			t.Fatalf("round %d: reused incremental %d, HK %d", round, inc.Size(), want)
+		if want := MaxMatchingByFlow(g); inc.Size() != want {
+			t.Fatalf("round %d: reused incremental %d, flow %d", round, inc.Size(), want)
 		}
 		if inc.NLeft() != nl || inc.NRight() < nr {
 			t.Fatalf("round %d: dims %dx%d, want %dx>=%d", round, inc.NLeft(), inc.NRight(), nl, nr)
@@ -132,10 +132,10 @@ func TestIncrementalOrderIndependent(t *testing.T) {
 	}
 }
 
-// BenchmarkIncrementalVsColdHK compares maintaining the matching across a
-// growing graph against re-running Hopcroft–Karp from scratch at the end —
-// the per-segment cost profile the serve rolling-OPT worker pays.
-func BenchmarkIncrementalVsColdHK(b *testing.B) {
+// BenchmarkIncrementalVsColdKuhn compares maintaining the matching across a
+// growing graph against building the graph and running Kuhn from scratch at
+// the end — the per-segment cost profile the serve rolling-OPT worker pays.
+func BenchmarkIncrementalVsColdKuhn(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	rows := randomRows(rng, 2000, 1500, 4)
 	b.Run("incremental", func(b *testing.B) {
@@ -149,7 +149,7 @@ func BenchmarkIncrementalVsColdHK(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cold_hk", func(b *testing.B) {
+	b.Run("cold_kuhn", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := NewGraph(len(rows), 1500)
@@ -158,7 +158,7 @@ func BenchmarkIncrementalVsColdHK(b *testing.B) {
 					g.AddEdge(l, int(r))
 				}
 			}
-			HopcroftKarp(g)
+			Kuhn(g)
 		}
 	})
 }

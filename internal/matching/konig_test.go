@@ -10,7 +10,7 @@ func TestKonigCoverSizeEqualsMatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(15), 1+rng.Intn(15), 0.3)
-		m := HopcroftKarp(g)
+		m := Kuhn(g)
 		lefts, rights := KonigCover(g, m)
 		if len(lefts)+len(rights) != m.Size() {
 			t.Fatalf("trial %d: cover %d+%d != matching %d",
@@ -23,7 +23,7 @@ func TestKonigCoverCoversEveryEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(12), 1+rng.Intn(12), 0.35)
-		m := HopcroftKarp(g)
+		m := Kuhn(g)
 		lefts, rights := KonigCover(g, m)
 		inL := make(map[int]bool, len(lefts))
 		for _, l := range lefts {
@@ -85,7 +85,7 @@ func TestHallWitnessCertifiesDeficit(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		// Skew the sides so deficits are common.
 		g := randomGraph(rng, 4+rng.Intn(10), 1+rng.Intn(6), 0.3)
-		m := HopcroftKarp(g)
+		m := Kuhn(g)
 		s, nbh, deficit := HallWitness(g, m)
 		if deficit == 0 {
 			if s != nil || nbh != nil {
@@ -115,7 +115,7 @@ func TestHallWitnessQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(10), 1+rng.Intn(10), 0.25)
-		m := HopcroftKarp(g)
+		m := Kuhn(g)
 		s, nbh, deficit := HallWitness(g, m)
 		if deficit == 0 {
 			return true

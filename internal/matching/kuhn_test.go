@@ -42,6 +42,39 @@ func twoChoiceGraph(rng *rand.Rand, nl, nRes, d int) *Graph {
 	return g
 }
 
+// GreedyMaximal computes a maximal (not necessarily maximum) matching by a
+// single pass over left vertices in index order, taking the first free right
+// neighbor. By the standard argument its size is at least half the maximum;
+// TestGreedyMaximalAtLeastHalf asserts that invariant.
+func GreedyMaximal(g *Graph) *Matching {
+	m := NewMatching(g.NLeft(), g.NRight())
+	for l := 0; l < g.NLeft(); l++ {
+		for _, r := range g.adj[l] {
+			if m.R2L[r] == None {
+				m.Match(l, int(r))
+				break
+			}
+		}
+	}
+	return m
+}
+
+// IsMaximal reports whether m is maximal in g: no edge joins a free left
+// vertex to a free right vertex.
+func IsMaximal(g *Graph, m *Matching) bool {
+	for l := 0; l < g.NLeft(); l++ {
+		if m.L2R[l] != None {
+			continue
+		}
+		for _, r := range g.adj[l] {
+			if m.R2L[r] == None {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestKuhnEmptyGraph(t *testing.T) {
 	g := NewGraph(3, 4)
 	m := Kuhn(g)
@@ -58,8 +91,8 @@ func TestKuhnZeroVertices(t *testing.T) {
 	if m := Kuhn(g); m.Size() != 0 {
 		t.Fatalf("got %d", m.Size())
 	}
-	if m := HopcroftKarp(g); m.Size() != 0 {
-		t.Fatalf("got %d", m.Size())
+	if f := MaxMatchingByFlow(g); f != 0 {
+		t.Fatalf("flow got %d", f)
 	}
 }
 
@@ -90,7 +123,7 @@ func TestKuhnPrefersFirstListedNeighbor(t *testing.T) {
 	}
 }
 
-func TestKuhnEqualsHopcroftKarpEqualsBruteRandom(t *testing.T) {
+func TestKuhnEqualsFlowEqualsBruteRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		nl := 1 + rng.Intn(9)
@@ -100,28 +133,18 @@ func TestKuhnEqualsHopcroftKarpEqualsBruteRandom(t *testing.T) {
 		if got := Kuhn(g).Size(); got != want {
 			t.Fatalf("trial %d: Kuhn %d != brute %d", trial, got, want)
 		}
-		if got := HopcroftKarp(g).Size(); got != want {
-			t.Fatalf("trial %d: HK %d != brute %d", trial, got, want)
-		}
 		if got := MaxMatchingByFlow(g); got != want {
 			t.Fatalf("trial %d: flow %d != brute %d", trial, got, want)
 		}
 	}
 }
 
-func TestKuhnEqualsHopcroftKarpLargeRandom(t *testing.T) {
+func TestKuhnEqualsFlowLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 60, 50, 0.08)
 		k := Kuhn(g)
-		h := HopcroftKarp(g)
-		if k.Size() != h.Size() {
-			t.Fatalf("trial %d: Kuhn %d != HK %d", trial, k.Size(), h.Size())
-		}
 		if err := Verify(g, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(g, h); err != nil {
 			t.Fatal(err)
 		}
 		if f := MaxMatchingByFlow(g); f != k.Size() {
@@ -135,10 +158,9 @@ func TestKuhnTwoChoiceGraphs(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := twoChoiceGraph(rng, 40, 6, 4)
 		k := Kuhn(g).Size()
-		h := HopcroftKarp(g).Size()
 		f := MaxMatchingByFlow(g)
-		if k != h || k != f {
-			t.Fatalf("trial %d: kuhn=%d hk=%d flow=%d", trial, k, h, f)
+		if k != f {
+			t.Fatalf("trial %d: kuhn=%d flow=%d", trial, k, f)
 		}
 	}
 }
@@ -154,8 +176,7 @@ func TestGreedyMaximalAtLeastHalf(t *testing.T) {
 		if err := Verify(g, gm); err != nil {
 			return false
 		}
-		maxSize := HopcroftKarp(g).Size()
-		return 2*gm.Size() >= maxSize
+		return 2*gm.Size() >= MaxMatchingByFlow(g)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -195,28 +216,9 @@ func TestExtendFromLeftPreservesMatched(t *testing.T) {
 		if err := Verify(g, m); err != nil {
 			t.Fatal(err)
 		}
-		if m.Size() != HopcroftKarp(g).Size() {
+		if want := MaxMatchingByFlow(g); m.Size() != want {
 			t.Fatalf("trial %d: extend-from-left not maximum: %d vs %d",
-				trial, m.Size(), HopcroftKarp(g).Size())
-		}
-	}
-}
-
-func TestHopcroftKarpExtendFromPartial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		g := randomGraph(rng, 15, 15, 0.25)
-		m := GreedyMaximal(g)
-		seedSize := m.Size()
-		gained := HopcroftKarpExtend(g, m)
-		if m.Size() != seedSize+gained {
-			t.Fatalf("gained accounting wrong: %d + %d != %d", seedSize, gained, m.Size())
-		}
-		if m.Size() != HopcroftKarp(g).Size() {
-			t.Fatalf("extend from partial not maximum")
-		}
-		if err := Verify(g, m); err != nil {
-			t.Fatal(err)
+				trial, m.Size(), want)
 		}
 	}
 }
@@ -271,17 +273,6 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	if err := Verify(g, m); err == nil {
 		t.Fatal("expected error for non-edge pair")
 	}
-}
-
-func ExampleHopcroftKarp() {
-	g := NewGraph(3, 3)
-	g.AddEdge(0, 0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(2, 2)
-	m := HopcroftKarp(g)
-	fmt.Println(m.Size())
-	// Output: 3
 }
 
 func ExampleLexMax() {

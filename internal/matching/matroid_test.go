@@ -63,7 +63,7 @@ func TestLexMaxIsMaximumCardinality(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 25, 25, 0.15)
 		classOf := randomClasses(rng, 25, 5)
-		if LexMax(g, classOf).Size() != HopcroftKarp(g).Size() {
+		if LexMax(g, classOf).Size() != MaxMatchingByFlow(g) {
 			t.Fatalf("trial %d: LexMax not maximum", trial)
 		}
 	}

@@ -36,7 +36,7 @@ func TestMaxProfitEqualProfitsIsMaximumCardinality(t *testing.T) {
 			profit[i] = 3
 		}
 		m := MaxProfitMatching(g, profit)
-		if m.Size() != HopcroftKarp(g).Size() {
+		if m.Size() != MaxMatchingByFlow(g) {
 			t.Fatalf("trial %d: equal profits should give maximum cardinality", trial)
 		}
 	}

@@ -12,8 +12,6 @@ package matching
 // differ. The free functions delegate to a throwaway Scratch.
 type Scratch struct {
 	aug    augmenter
-	dist   []int32  // Hopcroft–Karp BFS layers
-	queue  []int32  // Hopcroft–Karp BFS queue
 	prefer avoidDFS // PreferLowAtClass relocation search and its marks
 }
 
@@ -91,72 +89,6 @@ func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
 	}
 	sc.aug.endPass()
 	return gained
-}
-
-// HopcroftKarpExtend is HopcroftKarpExtend with reused BFS buffers.
-func (sc *Scratch) HopcroftKarpExtend(g *Graph, m *Matching) int {
-	nl := g.NLeft()
-	if cap(sc.dist) < nl {
-		sc.dist = make([]int32, nl)
-	}
-	if cap(sc.queue) < nl {
-		sc.queue = make([]int32, 0, nl)
-	}
-	dist := sc.dist[:nl]
-	queue := sc.queue[:0]
-	total := 0
-	inf := hkInfinity()
-
-	bfs := func() bool {
-		queue = queue[:0]
-		for l := 0; l < nl; l++ {
-			if m.L2R[l] == None {
-				dist[l] = 0
-				queue = append(queue, int32(l))
-			} else {
-				dist[l] = inf
-			}
-		}
-		found := false
-		for qi := 0; qi < len(queue); qi++ {
-			l := queue[qi]
-			for _, r := range g.adj[l] {
-				ml := m.R2L[r]
-				if ml == None {
-					found = true
-				} else if dist[ml] == inf {
-					dist[ml] = dist[l] + 1
-					queue = append(queue, ml)
-				}
-			}
-		}
-		return found
-	}
-
-	var dfs func(l int32) bool
-	dfs = func(l int32) bool {
-		for _, r := range g.adj[l] {
-			ml := m.R2L[r]
-			if ml == None || (dist[ml] == dist[l]+1 && dfs(ml)) {
-				m.Match(int(l), int(r))
-				return true
-			}
-		}
-		dist[l] = inf
-		return false
-	}
-
-	for bfs() {
-		for l := 0; l < nl; l++ {
-			if m.L2R[l] == None && dist[l] == 0 {
-				if dfs(int32(l)) {
-					total++
-				}
-			}
-		}
-	}
-	sc.queue = queue[:0]
-	return total
 }
 
 // PreferLowAtClass is PreferLowAtClass with reused relocation marks.

@@ -17,11 +17,20 @@ import (
 // checkable on real executions.
 
 // LogMatching converts a fulfillment log into a matching on the trace's full
-// request/slot graph.
+// request/slot graph (BuildGraph). Each fulfillment takes the next free
+// capacity unit of its resource in the epoch of its round: an engine
+// schedule starts at most Cap services per resource per epoch (see the
+// epoch relaxation above BuildGraph), so the units map injectively.
 func LogMatching(tr *core.Trace, log []core.Fulfillment) *matching.Matching {
-	m := matching.NewMatching(tr.NumRequests(), tr.Horizon()*tr.N)
+	sm := tr.Model.Norm()
+	epochs := epochCount(tr, sm.Hold)
+	m := matching.NewMatching(tr.NumRequests(), epochs*tr.N*sm.Cap)
+	used := make([]int, epochs*tr.N) // units taken per (epoch, resource)
 	for _, f := range log {
-		m.Match(f.Req.ID, SlotIndex(tr.N, f.Res, f.Round))
+		e := f.Round / sm.Hold
+		k := e*tr.N + f.Res
+		m.Match(f.Req.ID, epochSlot(tr.N, sm.Cap, f.Res, e, used[k]))
+		used[k]++
 	}
 	return m
 }

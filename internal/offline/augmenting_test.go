@@ -116,3 +116,21 @@ func TestLogMatchingRoundTrip(t *testing.T) {
 		t.Fatalf("matching size %d != fulfilled %d", m.Size(), res.Fulfilled)
 	}
 }
+
+// TestAugmentingTotalsEqualLossUnderModels pins the histogram's accounting
+// under reusable-resource models: the schedule's fulfillments map to distinct
+// (epoch, resource, unit) slots of the epoch relaxation, so the augmenting
+// paths against the optimum number exactly OPT minus the schedule's size.
+func TestAugmentingTotalsEqualLossUnderModels(t *testing.T) {
+	for _, h := range []int{1, 2, 4} {
+		for _, capc := range []int{1, 2} {
+			m := core.ServiceModel{Hold: h, Cap: capc}
+			tr := workload.Reusable(workload.Config{N: 6, D: 5, Rounds: 80, Seed: 12}, m, 0.9)
+			res := core.Run(strategies.NewFirstFit(), tr)
+			opt := Optimum(tr)
+			if got := TotalAugmenting(AugmentingOrders(tr, res.Log)); got != opt-res.Fulfilled {
+				t.Errorf("%s: %d augmenting paths but loss is %d-%d", m, got, opt, res.Fulfilled)
+			}
+		}
+	}
+}

@@ -3,7 +3,8 @@
 // OPT so far" while a segment is still open, by maintaining a maximum matching
 // (matching.Incremental) that grows one request at a time. Max-cardinality
 // matching is order-independent, so a sealed segment reports bit for bit the
-// same optimum as Optimum, Solve and OptimumStream on the same requests.
+// same optimum whatever order its requests arrive in; Optimum is this pass
+// over a whole trace.
 package offline
 
 import (
@@ -105,21 +106,8 @@ func (o *IncrementalOpt) Seal() int {
 	return opt
 }
 
-// OptimumIncremental returns exactly Optimum(tr), computed by feeding the
-// trace's requests in arrival order through an IncrementalOpt — the
-// single-pass O(request × path) shape the serve rolling-ratio worker uses,
-// exposed whole-trace for verification. The matcher is sealed at
-// core.Segmenter's clean cuts, so right-vertex rows restart at the new base
-// and memory stays proportional to the widest open window, not the horizon;
-// maximum matching decomposes over the independent pieces, so the seals do
-// not change the value. It is kept beside Solve for cmd/verify's
-// incremental-OPT checks and for the exact work and allocation pins of
-// TestIncrementalOptWork.
-func OptimumIncremental(tr *core.Trace) int {
-	return NewIncrementalOptModel(tr.N, tr.Model).feed(tr)
-}
-
-// feed runs OptimumIncremental's pass on o, which must have no open segment.
+// feed runs Optimum's pass on o, which must have no open segment. It is
+// separate so TestIncrementalOptWork can read the matcher's work.
 func (o *IncrementalOpt) feed(tr *core.Trace) int {
 	cut := core.NewSegmenter(tr.Model)
 	opt := 0

@@ -35,6 +35,14 @@ func epochSlot(n, capc, res, e, u int) int { return (e*n+res)*capc + u }
 // epochSlotOf inverts epochSlot, dropping the (interchangeable) unit.
 func epochSlotOf(n, capc, idx int) (res, e int) { return (idx / capc) % n, idx / (n * capc) }
 
+// epochCount returns the number of hold-round epochs up to tr's horizon.
+func epochCount(tr *core.Trace, hold int) int {
+	if h := tr.Horizon(); h > 0 {
+		return (h-1)/hold + 1
+	}
+	return 0
+}
+
 // BuildGraph constructs the full bipartite graph of a trace: left vertices
 // are requests in ID order; right vertices are all (epoch, resource, unit)
 // slots up to the trace horizon — under the unit model, exactly the
@@ -43,12 +51,7 @@ func epochSlotOf(n, capc, idx int) (res, e int) { return (idx / capc) % n, idx /
 // first — the same deterministic edge order the online strategies use.
 func BuildGraph(tr *core.Trace) *matching.Graph {
 	m := tr.Model.Norm()
-	horizon := tr.Horizon()
-	epochs := 0
-	if horizon > 0 {
-		epochs = (horizon-1)/m.Hold + 1
-	}
-	g := matching.NewGraph(tr.NumRequests(), epochs*tr.N*m.Cap)
+	g := matching.NewGraph(tr.NumRequests(), epochCount(tr, m.Hold)*tr.N*m.Cap)
 	for _, r := range tr.Requests() {
 		for _, a := range r.Alts {
 			for e := r.Arrive / m.Hold; e <= r.Deadline()/m.Hold; e++ {
@@ -62,21 +65,25 @@ func BuildGraph(tr *core.Trace) *matching.Graph {
 }
 
 // Optimum returns the number of requests an optimal offline algorithm
-// fulfills: the maximum matching cardinality of the trace graph, computed by
-// Hopcroft–Karp. It is the monolithic oracle Solve(tr, Cardinality, w) is
-// tested against, and stays the path of ratio.MeasureChecked: on a trace that
-// is one segment (uniform traffic never goes quiet) the segmented path only
-// adds the decomposition. Uniform n=16 d=6, 300 rounds, rate 18 measured
-// 7.7–8.1 ms/op through Solve and 6.6–6.9 ms/op through Optimum on a 2-vCPU
-// Xeon.
+// fulfills: the maximum matching cardinality of the trace graph. It is the
+// package's one maximum-cardinality solver: the requests are fed in arrival
+// order through an IncrementalOpt — one augmenting-path search per request,
+// the pass the serve daemon's rolling ratio runs — sealed at core.Segmenter's
+// clean cuts, so right-vertex rows restart at each new base and memory stays
+// proportional to the widest open window, not the horizon. Maximum matching
+// decomposes over the independent pieces, so the seals do not change the
+// value. Solve(tr, Cardinality, w), OptimumStream and ratio all answer
+// through it.
 func Optimum(tr *core.Trace) int {
-	return matching.HopcroftKarp(BuildGraph(tr)).Size()
+	return NewIncrementalOptModel(tr.N, tr.Model).feed(tr)
 }
 
 // OptimumMatching returns one optimal offline schedule as an explicit
-// matching plus its cardinality.
+// matching plus its cardinality, computed by Kuhn's augmenting search over
+// the full graph — a different solver from Optimum, so comparing the two
+// sizes checks the incremental pass.
 func OptimumMatching(tr *core.Trace) (*matching.Matching, int) {
-	m := matching.HopcroftKarp(BuildGraph(tr))
+	m := matching.Kuhn(BuildGraph(tr))
 	return m, m.Size()
 }
 

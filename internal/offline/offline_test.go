@@ -91,10 +91,10 @@ func TestOptimumEqualsFlowCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for trial := 0; trial < 40; trial++ {
 		tr := randomTrace(rng, 2+rng.Intn(5), 1+rng.Intn(4), 1+rng.Intn(8), 6)
-		hk := Optimum(tr)
+		opt := Optimum(tr)
 		fl := optimumByFlow(tr)
-		if hk != fl {
-			t.Fatalf("trial %d: HK %d != flow %d", trial, hk, fl)
+		if opt != fl {
+			t.Fatalf("trial %d: Optimum %d != flow %d", trial, opt, fl)
 		}
 	}
 }
@@ -188,14 +188,13 @@ func TestOptimumMinLatencyProperties(t *testing.T) {
 			t.Fatalf("trial %d: min-latency schedule size %d != optimum %d",
 				trial, len(log), Optimum(tr))
 		}
-		// Latency must be no worse than the plain HK optimum's latency.
-		hk := OptimumSchedule(tr)
-		hkLatency := 0
-		for _, f := range hk {
-			hkLatency += f.Round - f.Req.Arrive
+		// Latency must be no worse than the plain optimum's latency.
+		plainLatency := 0
+		for _, f := range OptimumSchedule(tr) {
+			plainLatency += f.Round - f.Req.Arrive
 		}
-		if latency > hkLatency {
-			t.Fatalf("trial %d: min-latency %d > HK latency %d", trial, latency, hkLatency)
+		if latency > plainLatency {
+			t.Fatalf("trial %d: min-latency %d > plain optimum's latency %d", trial, latency, plainLatency)
 		}
 		// Recompute the reported latency from the log.
 		sum := 0

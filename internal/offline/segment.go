@@ -1,11 +1,11 @@
-// Segmented offline optimum. Maximum matching decomposes exactly over the
-// connected components of the request/slot graph G = (R ∪ S, E): no
-// augmenting path crosses between components, so the optimum of a trace is
-// the sum of the optima of its independent pieces. Long traces whose deadline
-// windows do not all overlap split at quiet round boundaries into time
-// segments that can be solved concurrently — the one remaining serial,
-// memory-proportional-to-horizon bottleneck of the measurement harness
-// becomes an embarrassingly parallel sum of small Hopcroft–Karp runs.
+// Segmented offline optima. Maximum matching — weighted or min-cost —
+// decomposes exactly over the connected components of the request/slot graph
+// G = (R ∪ S, E): no augmenting or profit-improving path crosses between
+// components, so the optimum of a trace is the sum of the optima of its
+// independent pieces. Long traces whose deadline windows do not all overlap
+// split at quiet round boundaries into time segments that the weighted
+// objectives solve concurrently; the cardinality optimum needs no pool, since
+// the incremental pass (Optimum) already seals at the same cuts.
 package offline
 
 import (
@@ -76,11 +76,7 @@ func SegmentTrace(tr *core.Trace) []Segment {
 func Components(tr *core.Trace) []Segment {
 	n := tr.N
 	hold := tr.Model.Norm().Hold
-	epochs := 0
-	if h := tr.Horizon(); h > 0 {
-		epochs = (h-1)/hold + 1
-	}
-	parent := make([]int32, epochs*n)
+	parent := make([]int32, epochCount(tr, hold)*n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -130,16 +126,14 @@ func Components(tr *core.Trace) []Segment {
 	return segs
 }
 
-// segSolver is the per-worker scratch of the segmented solvers: the graph,
-// matching and matching.Scratch reused across every segment a worker claims,
-// plus the buffers the weighted objectives need (per-request profits, per-slot
-// absolute coordinates). Buffers grow monotonically to the largest segment
-// seen, so steady-state allocation is per worker, not per segment. A segSolver
-// is not safe for concurrent use — give each goroutine its own.
+// segSolver is the per-worker scratch of the segmented solvers: the graph
+// reused across every segment a worker claims, plus the buffers the weighted
+// objectives need (per-request profits, per-slot absolute coordinates).
+// Buffers grow monotonically to the largest segment seen, so steady-state
+// allocation is per worker, not per segment. A segSolver is not safe for
+// concurrent use — give each goroutine its own.
 type segSolver struct {
 	g       matching.Graph
-	m       matching.Matching
-	sc      matching.Scratch
 	slotIDs map[int]int32
 	profit  []int64 // per-left-vertex weights (MaxProfit) or -arrive (min-latency)
 	cost    []int64 // per-right-vertex absolute slot round (min-latency)
@@ -170,8 +164,8 @@ func spaceOf(tr *core.Trace) space {
 // for rounds it does not touch. When slotMeta is set, absRes/absT record each
 // right vertex's absolute resource and epoch-start round — the inverse mapping
 // the min-latency objective needs for costs and fulfillment logs. Objective
-// values (cardinality, profit, min latency) do not depend on the remapping or
-// the edge order, so sums over segments equal the monolithic solvers exactly.
+// values (profit, min latency) do not depend on the remapping or the edge
+// order, so sums over segments equal the monolithic solvers exactly.
 func (ss *segSolver) build(sp space, seg Segment, slotMeta bool) {
 	n, capc, hold := sp.n, sp.capc, sp.hold
 	edges := 0
@@ -254,15 +248,6 @@ func growInt64(s []int64, n int) []int64 {
 	return make([]int64, n)
 }
 
-// cardinality computes the maximum matching cardinality of one segment with
-// Hopcroft–Karp — the unweighted offline optimum of the piece.
-func (ss *segSolver) cardinality(sp space, seg Segment) int64 {
-	ss.build(sp, seg, false)
-	ss.m.Reset(ss.g.NLeft(), ss.g.NRight())
-	ss.sc.HopcroftKarpExtend(&ss.g, &ss.m)
-	return int64(ss.m.Size())
-}
-
 // maxProfit computes the maximum total weight an offline schedule can serve
 // within one segment (the weighted objective's optimum for the piece).
 func (ss *segSolver) maxProfit(sp space, seg Segment) int64 {
@@ -336,54 +321,43 @@ const (
 	MinLatency
 )
 
-// Solve returns the offline optimum of tr under obj, computed by decomposing
-// the trace into independent segments (Segments) and solving each on the
-// worker pool (workers <= 0: GOMAXPROCS; never more goroutines than
-// segments). Matchings of every objective decompose exactly over connected
-// components — no augmenting or profit-improving path crosses between them —
-// so value equals the monolithic solver's exactly, while peak memory is
-// proportional to the largest segment rather than the horizon. log is set
-// only for MinLatency: a schedule with OptimumMinLatency's guarantees
+// Solve returns the offline optimum of tr under obj. Cardinality is
+// Optimum(tr), the incremental pass; workers is ignored. Profit and
+// MinLatency decompose the trace into independent segments (Segments) and
+// solve each on the worker pool (workers <= 0: GOMAXPROCS; never more
+// goroutines than segments). Weighted and min-cost matchings decompose
+// exactly over connected components — no profit-improving path crosses
+// between them — so value equals the monolithic solver's exactly, while peak
+// memory is proportional to the largest segment rather than the horizon. log
+// is set only for MinLatency: a schedule with OptimumMinLatency's guarantees
 // (maximum cardinality, minimum total latency) in request-ID order, possibly
 // a different one of the equally cheap schedules.
 func Solve(tr *core.Trace, obj Objective, workers int) (value int, log []core.Fulfillment) {
+	if obj == Cardinality {
+		return Optimum(tr), nil
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	segs := Segments(tr)
-	sp := spaceOf(tr)
-	pieces := func(yield func(space, Segment) bool) {
-		for _, seg := range segs {
-			if !yield(sp, seg) {
-				return
-			}
-		}
-	}
-	return solvePool(pieces, obj, max(1, min(workers, len(segs))))
+	return solvePool(spaceOf(tr), segs, obj, max(1, min(workers, len(segs))))
 }
 
-// solvePool is the one worker pool of the segmented solvers. It solves obj on
-// every (space, Segment) piece the iterator yields, on workers goroutines
-// (workers <= 0: GOMAXPROCS), and returns the summed value plus, for
-// MinLatency, the pieces' fulfillment logs. Each worker owns its segSolver
-// scratch, so steady-state allocation is per worker, not per piece. Pieces
-// are handed over unbuffered: at most workers+1 are in memory at once, one
-// per worker plus the one the iterator holds, which is what bounds the memory
-// of a streamed solve. Which worker solves which piece depends on scheduling;
-// int64 sums and logs sorted by request ID keep the result deterministic.
-func solvePool(pieces iter.Seq2[space, Segment], obj Objective, workers int) (int, []core.Fulfillment) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// solvePool is the worker pool of the weighted segmented solvers. It solves
+// obj (Profit or MinLatency) on every segment of segs, all in space sp, on
+// workers goroutines, and returns the summed value plus, for MinLatency, the
+// segments' fulfillment logs. Each worker owns its segSolver scratch, so
+// steady-state allocation is per worker, not per segment. Which worker
+// solves which segment depends on scheduling; int64 sums and logs sorted by
+// request ID keep the result deterministic.
+func solvePool(sp space, segs []Segment, obj Objective, workers int) (int, []core.Fulfillment) {
 	type acc struct {
 		value int64
 		log   []core.Fulfillment
 	}
 	accs := make([]acc, workers)
-	solve := func(ss *segSolver, sp space, seg Segment, a *acc) {
+	solve := func(ss *segSolver, seg Segment, a *acc) {
 		switch obj {
-		case Cardinality:
-			a.value += ss.cardinality(sp, seg)
 		case Profit:
 			a.value += ss.maxProfit(sp, seg)
 		case MinLatency:
@@ -396,28 +370,24 @@ func solvePool(pieces iter.Seq2[space, Segment], obj Objective, workers int) (in
 	}
 	if workers == 1 {
 		ss := newSegSolver()
-		for sp, seg := range pieces {
-			solve(ss, sp, seg, &accs[0])
+		for _, seg := range segs {
+			solve(ss, seg, &accs[0])
 		}
 	} else {
-		type piece struct {
-			sp  space
-			seg Segment
-		}
-		ch := make(chan piece)
+		ch := make(chan Segment)
 		var wg sync.WaitGroup
 		for w := range accs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				ss := newSegSolver()
-				for p := range ch {
-					solve(ss, p.sp, p.seg, &accs[w])
+				for seg := range ch {
+					solve(ss, seg, &accs[w])
 				}
 			}()
 		}
-		for sp, seg := range pieces {
-			ch <- piece{sp, seg}
+		for _, seg := range segs {
+			ch <- seg
 		}
 		close(ch)
 		wg.Wait()
@@ -432,30 +402,20 @@ func solvePool(pieces iter.Seq2[space, Segment], obj Objective, workers int) (in
 	return int(total), log
 }
 
-// OptimumStream sums the offline optimum over a stream of independent
-// sub-traces (one per yielded value, e.g. trace.Segments over a JSONL
-// stream) on the worker pool, holding at most workers+1 segments in memory at
-// once — the bounded-memory evaluation path for traces too large to
-// materialize. It returns the total optimum and the number of segments
-// consumed. The first error from the iterator stops consumption and is
-// returned after in-flight segments finish. It is kept beside Solve because
-// its input is never a materialized trace; tracegen is its caller.
-func OptimumStream(segments iter.Seq2[*core.Trace, error], workers int) (opt, nsegs int, err error) {
-	pieces := func(yield func(space, Segment) bool) {
-		for tr, serr := range segments {
-			if serr != nil {
-				err = serr
-				return
-			}
-			nsegs++
-			if !yield(spaceOf(tr), Segment{Lo: 0, Hi: tr.Horizon() - 1, Reqs: tr.Requests()}) {
-				return
-			}
+// OptimumStream sums Optimum over a stream of independent sub-traces (one
+// per yielded value, e.g. trace.Segments over a JSONL stream), holding one
+// segment in memory at a time — the bounded-memory evaluation path for
+// traces too large to materialize. It returns the total optimum and the
+// number of segments consumed. The first error from the iterator stops
+// consumption and is returned. It is kept beside Optimum because its input
+// is never a materialized trace; tracegen is its caller.
+func OptimumStream(segments iter.Seq2[*core.Trace, error]) (opt, nsegs int, err error) {
+	for tr, err := range segments {
+		if err != nil {
+			return 0, nsegs, err
 		}
-	}
-	opt, _ = solvePool(pieces, Cardinality, workers)
-	if err != nil {
-		return 0, nsegs, err
+		nsegs++
+		opt += Optimum(tr)
 	}
 	return opt, nsegs, nil
 }

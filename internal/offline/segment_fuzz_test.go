@@ -54,10 +54,11 @@ func fuzzEncode(tr *core.Trace) []byte {
 // FuzzSegmentCuts pins the one clean-cut rule under every service model it
 // has to honour: the in-memory segmenter (SegmentTrace) and the JSONL cutter
 // (trace.SegmentsOfModel) cut the same records at the same rounds, and every
-// OPT path — the monolithic oracle, the sum over the cut sub-traces, the
-// segment pool, the streamed pool and the incremental matcher — reports the
-// same optimum. Seeds are the cmd/verify hold × cap grid's reusable
-// workloads, plus gapped inputs that do cut.
+// OPT path — Optimum on the whole trace, the sum of Optimum over the cut
+// sub-traces, OptimumStream and the segment pool's Profit on the unweighted
+// trace — reports the Dinic max-flow optimum of the full graph. Seeds are the
+// cmd/verify hold × cap grid's reusable workloads, plus gapped inputs that do
+// cut.
 func FuzzSegmentCuts(f *testing.F) {
 	for _, h := range []int{1, 2, 4} {
 		for _, capc := range []int{1, 2, 3} {
@@ -114,24 +115,24 @@ func FuzzSegmentCuts(f *testing.F) {
 			t.Fatalf("n=%d d=%d %s: SegmentTrace cuts at %v, SegmentsOfModel at %v", n, d, m, want, got)
 		}
 
-		opt := Optimum(tr)
-		streamed, nsegs, err := OptimumStream(segs, 2)
+		opt := optimumByFlow(tr)
+		streamed, nsegs, err := OptimumStream(segs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		solved, _ := Solve(tr, Cardinality, 2)
+		profit, _ := Solve(tr, Profit, 2)
 		checks := []struct {
 			name string
 			v    int
 		}{
+			{"Optimum", Optimum(tr)},
 			{"Σ Optimum(sub-trace)", sum},
-			{"Solve(tr, Cardinality, 2)", solved},
+			{"Solve(tr, Profit, 2)", profit},
 			{"OptimumStream", streamed},
-			{"OptimumIncremental", OptimumIncremental(tr)},
 		}
 		for _, c := range checks {
 			if c.v != opt {
-				t.Fatalf("n=%d d=%d %s (%d segments): %s = %d, Optimum = %d", n, d, m, nsegs, c.name, c.v, opt)
+				t.Fatalf("n=%d d=%d %s (%d segments): %s = %d, flow = %d", n, d, m, nsegs, c.name, c.v, opt)
 			}
 		}
 		if nsegs != nsub {

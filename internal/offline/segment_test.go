@@ -29,14 +29,18 @@ func gappedTrace(rng *rand.Rand, n, d, bursts, perBurst int) *core.Trace {
 	return b.Build()
 }
 
-// checkParallel asserts Solve(tr, Cardinality, w) == Optimum for several
-// worker counts.
+// checkParallel asserts that Solve(tr, Cardinality, 0) and, on several
+// worker counts, the segment pool's Solve(tr, Profit, w) — the cardinality on
+// an unweighted trace — equal the Dinic max-flow oracle.
 func checkParallel(t *testing.T, name string, tr *core.Trace) {
 	t.Helper()
-	want := Optimum(tr)
+	want := optimumByFlow(tr)
+	if got, _ := Solve(tr, Cardinality, 0); got != want {
+		t.Fatalf("%s: Solve(Cardinality) = %d, flow = %d", name, got, want)
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		if got, _ := Solve(tr, Cardinality, workers); got != want {
-			t.Fatalf("%s: Solve(Cardinality, workers=%d) = %d, Optimum = %d",
+		if got, _ := Solve(tr, Profit, workers); got != want {
+			t.Fatalf("%s: Solve(Profit, workers=%d) = %d, flow = %d",
 				name, workers, got, want)
 		}
 	}
@@ -191,17 +195,11 @@ func TestOptimumParallelEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// sumOver sums the per-segment optima of segs, pieces of tr, on the
-// worker pool.
+// sumOver sums the per-segment maximum profits of segs, pieces of the
+// unweighted trace tr, on the worker pool: each piece's maximum matching
+// cardinality.
 func sumOver(tr *core.Trace, segs []Segment, workers int) int {
-	sp := spaceOf(tr)
-	opt, _ := solvePool(func(yield func(space, Segment) bool) {
-		for _, seg := range segs {
-			if !yield(sp, seg) {
-				return
-			}
-		}
-	}, Cardinality, workers)
+	opt, _ := solvePool(spaceOf(tr), segs, Profit, workers)
 	return opt
 }
 
@@ -211,12 +209,12 @@ func TestComponentsMatchSegmentsOnGappedTraces(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		tr := gappedTrace(rng, 3, 2, 3, 4)
-		want := Optimum(tr)
+		want := optimumByFlow(tr)
 		if got := sumOver(tr, Components(tr), 3); got != want {
-			t.Fatalf("trial %d: components sum %d, Optimum %d", trial, got, want)
+			t.Fatalf("trial %d: components sum %d, flow %d", trial, got, want)
 		}
 		if got := sumOver(tr, SegmentTrace(tr), 3); got != want {
-			t.Fatalf("trial %d: segments sum %d, Optimum %d", trial, got, want)
+			t.Fatalf("trial %d: segments sum %d, flow %d", trial, got, want)
 		}
 	}
 }

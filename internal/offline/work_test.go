@@ -21,8 +21,10 @@ func gappedBursty(rounds int) *core.Trace {
 // TestIncrementalOptWork pins the exact cost of the incremental optimum on
 // the gapped bursty trace: its value, the augmenting searches it starts and
 // the rights they mark, and its allocations, which must not grow with the
-// trace. The cold pass — a fresh Optimum per materialized segment, the shape
-// the incremental matcher replaced — is pinned beside it. The counts are a
+// trace. The cold pass — a fresh Optimum, and so a fresh matcher, per
+// materialized segment, the shape OptimumStream runs — is pinned beside it:
+// its allocations grow with the segment count, where the one sealed matcher's
+// do not. The counts are a
 // property of the code, not of the host, so an algorithmic regression fails
 // here on any machine; an intended change updates the pins in the same diff.
 func TestIncrementalOptWork(t *testing.T) {
@@ -34,7 +36,7 @@ func TestIncrementalOptWork(t *testing.T) {
 
 	o := NewIncrementalOptModel(tr.N, tr.Model)
 	if got := o.feed(tr); got != wantOpt {
-		t.Fatalf("OptimumIncremental = %d, want %d", got, wantOpt)
+		t.Fatalf("feed = %d, want %d", got, wantOpt)
 	}
 	want := matching.Work{Searches: 20134, Marks: 25789}
 	if got := o.inc.Work(); got != want {
@@ -45,11 +47,11 @@ func TestIncrementalOptWork(t *testing.T) {
 		t.Skip("allocation counting is slow with -short")
 	}
 	long := gappedBursty(4 * 1200)
-	short := testing.AllocsPerRun(3, func() { OptimumIncremental(tr) })
-	longer := testing.AllocsPerRun(3, func() { OptimumIncremental(long) })
-	t.Logf("OptimumIncremental: %v allocs per run at 1x, %v at 4x", short, longer)
+	short := testing.AllocsPerRun(3, func() { Optimum(tr) })
+	longer := testing.AllocsPerRun(3, func() { Optimum(long) })
+	t.Logf("Optimum: %v allocs per run at 1x, %v at 4x", short, longer)
 	if longer != short {
-		t.Errorf("OptimumIncremental: %v allocs at 4x the trace vs %v at 1x: the requests allocate", longer, short)
+		t.Errorf("Optimum: %v allocs at 4x the trace vs %v at 1x: the requests allocate", longer, short)
 	}
 
 	var buf bytes.Buffer
@@ -66,7 +68,7 @@ func TestIncrementalOptWork(t *testing.T) {
 	if len(segs) != 100 {
 		t.Fatalf("%d segments, want 100", len(segs))
 	}
-	const wantCold = 61202
+	const wantCold = 5992
 	cold := testing.AllocsPerRun(3, func() {
 		sum := 0
 		for _, sub := range segs {

@@ -90,9 +90,9 @@ func RunParallelCtx(ctx context.Context, jobs []Job, workers int) ([]Measurement
 // At most 2×workers jobs exist between generation and emission (workers <= 0
 // means GOMAXPROCS): a ticket gate stops the producer until earlier results
 // have been emitted, so memory stays bounded by the pool, not the sweep.
-// Each job runs a full simulation; the input and its Hopcroft–Karp optimum
-// are built once per run of consecutive jobs with equal Job.Input and once
-// per job otherwise.
+// Each job runs a full simulation; the input and its offline optimum are
+// built once per run of consecutive jobs with equal Job.Input and once per
+// job otherwise.
 //
 // A job that panics does not take the sweep down anonymously: each failed job
 // contributes one *JobPanic (in job order) to the joined error, sibling jobs

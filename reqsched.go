@@ -109,7 +109,10 @@ func AugmentingOrders(tr *Trace, log []Fulfillment) map[int]int {
 // ValidateLog checks that a fulfillment log is a feasible schedule for tr.
 func ValidateLog(tr *Trace, log []Fulfillment) error { return core.ValidateLog(tr, log) }
 
-// Optimum returns the number of requests an optimal offline algorithm serves.
+// Optimum returns the number of requests an optimal offline algorithm serves,
+// computed by maintaining one matching over the growing request/slot graph —
+// a single augmenting-path search per request, sealed at every clean segment
+// cut. It is the solver the serve daemon's rolling ratio runs on.
 func Optimum(tr *Trace) int { return offline.Optimum(tr) }
 
 // Objective selects the offline optimum Solve computes.
@@ -125,36 +128,29 @@ const (
 	MinLatency  = offline.MinLatency
 )
 
-// Solve returns exactly the monolithic optimum of tr under obj, computed by
-// decomposing the trace into independent segments (clean time cuts, with a
-// union-find connected-components fallback) and solving each on a worker
-// pool (workers <= 0: GOMAXPROCS). Peak memory is proportional to the
-// largest segment rather than the horizon. log is set only for MinLatency:
-// a minimum-latency schedule of maximum cardinality, in request-ID order.
+// Solve returns exactly the monolithic optimum of tr under obj. Cardinality
+// is Optimum(tr). Profit and MinLatency decompose the trace into independent
+// segments (clean time cuts, with a union-find connected-components
+// fallback) and solve each on a worker pool (workers <= 0: GOMAXPROCS), so
+// peak memory is proportional to the largest segment rather than the
+// horizon. log is set only for MinLatency: a minimum-latency schedule of
+// maximum cardinality, in request-ID order.
 func Solve(tr *Trace, obj Objective, workers int) (value int, log []Fulfillment) {
 	return offline.Solve(tr, obj, workers)
 }
 
-// TraceSegmentCount returns how many independent pieces Solve
-// decomposes tr into (time segments, or slot-graph components when the trace
-// has no clean time cut).
+// TraceSegmentCount returns how many independent pieces Solve's weighted
+// objectives decompose tr into (time segments, or slot-graph components when
+// the trace has no clean time cut).
 func TraceSegmentCount(tr *Trace) int { return len(offline.Segments(tr)) }
 
-// OptimumIncremental returns exactly Optimum(tr), computed by maintaining one
-// matching over the growing request/slot graph — a single augmenting-path
-// search per request — and sealing it at every clean segment cut. No
-// per-segment graph construction or sub-trace materialization: the scratch is
-// reused across the whole trace, which is what the serve daemon's rolling
-// ratio runs on.
-func OptimumIncremental(tr *Trace) int { return offline.OptimumIncremental(tr) }
-
-// OptimumStream sums the offline optimum over a stream of independent
-// sub-traces (e.g. TraceSegments over a JSONL stream) on a worker pool,
-// holding at most workers+1 segments in memory — the bounded-memory
-// evaluation path for traces too large to materialize. It returns the total
-// optimum and the number of segments consumed.
-func OptimumStream(segments iter.Seq2[*Trace, error], workers int) (opt, nsegs int, err error) {
-	return offline.OptimumStream(segments, workers)
+// OptimumStream sums Optimum over a stream of independent sub-traces (e.g.
+// TraceSegments over a JSONL stream), holding one segment in memory at a
+// time — the bounded-memory evaluation path for traces too large to
+// materialize. It returns the total optimum and the number of segments
+// consumed.
+func OptimumStream(segments iter.Seq2[*Trace, error]) (opt, nsegs int, err error) {
+	return offline.OptimumStream(segments)
 }
 
 // OptimumSchedule returns one optimal offline schedule.

@@ -11,12 +11,18 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"reqsched"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the comparison to w. Rows are ordered by requests served, ties
+// by strategy name, so the output does not depend on map iteration order.
+func run(w io.Writer) {
 	cfg := reqsched.WorkloadConfig{
 		N:      12,  // disks
 		D:      6,   // rounds before a frame deadline is missed
@@ -29,11 +35,11 @@ func main() {
 		zipfS   = 1.3 // popularity skew
 	)
 	tr := reqsched.VideoServer(cfg, catalog, zipfS)
-	fmt.Println("video-on-demand workload:", reqsched.SummarizeTrace(tr))
+	fmt.Fprintln(w, "video-on-demand workload:", reqsched.SummarizeTrace(tr))
 
 	opt := reqsched.Optimum(tr)
 	_, optLatency := reqsched.OptimumMinLatency(tr)
-	fmt.Printf("offline optimum serves %d of %d requests (best possible mean latency %.2f)\n\n",
+	fmt.Fprintf(w, "offline optimum serves %d of %d requests (best possible mean latency %.2f)\n\n",
 		opt, tr.NumRequests(), float64(optLatency)/float64(opt))
 
 	type row struct {
@@ -52,14 +58,19 @@ func main() {
 			latency: res.MeanLatency(),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].served > rows[j].served })
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].served != rows[j].served {
+			return rows[i].served > rows[j].served
+		}
+		return rows[i].name < rows[j].name
+	})
 
-	fmt.Printf("%-20s %8s %8s %8s %9s\n", "strategy", "served", "missed", "OPT/ALG", "latency")
+	fmt.Fprintf(w, "%-20s %8s %8s %8s %9s\n", "strategy", "served", "missed", "OPT/ALG", "latency")
 	for _, r := range rows {
-		fmt.Printf("%-20s %8d %8d %8.4f %9.2f\n", r.name, r.served, r.expired, r.ratio, r.latency)
+		fmt.Fprintf(w, "%-20s %8d %8d %8.4f %9.2f\n", r.name, r.served, r.expired, r.ratio, r.latency)
 	}
 
-	fmt.Println("\nNote how the rescheduling strategies (A_balance, A_eager) stay closest")
-	fmt.Println("to the optimum, the fix-family loses to its irrevocable placements, and")
-	fmt.Println("independent-copies EDF wastes disk rounds on already-served requests.")
+	fmt.Fprintln(w, "\nNote how the rescheduling strategies (A_balance, A_eager) stay closest")
+	fmt.Fprintln(w, "to the optimum, the fix-family loses to its irrevocable placements, and")
+	fmt.Fprintln(w, "independent-copies EDF wastes disk rounds on already-served requests.")
 }

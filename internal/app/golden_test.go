@@ -267,6 +267,17 @@ func TestTracegenGolden(t *testing.T) {
 	in := filepath.Join("testdata", "golden", "tracegen_zipf.json")
 	requireGolden(t, "tracegen_info.txt", run(t, TracegenMain, "info", "-in", in))
 	requireGolden(t, "tracegen_run.txt", run(t, TracegenMain, "run", "-in", in, "-strategy", "A_balance"))
+
+	// info -stream on gapped JSONL streams, under the unit model and hold=2:
+	// the streamed optimum and its segment count.
+	var stream strings.Builder
+	for _, hold := range []string{"1", "2"} {
+		path := filepath.Join(t.TempDir(), "bursty.jsonl")
+		run(t, TracegenMain, "gen", "-workload", "bursty", "-n", "6", "-d", "3", "-rounds", "600",
+			"-on", "2", "-off", "12", "-burst", "10", "-rate", "0.0001", "-hold", hold, "-stream", "-out", path)
+		stream.WriteString(run(t, TracegenMain, "info", "-in", path, "-stream"))
+	}
+	requireGolden(t, "tracegen_info_stream.txt", stream.String())
 }
 
 func TestListDescribeEveryBinary(t *testing.T) {

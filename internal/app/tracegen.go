@@ -214,7 +214,7 @@ func tracegenInfo(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		opt, nsegs, err := reqsched.OptimumStream(reqsched.TraceSegments(f))
+		opt, nsegs, err := reqsched.OptimumStream(f)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

@@ -220,8 +220,8 @@ func TestHoldModelRunWork(t *testing.T) {
 		if got := run(long).Fulfilled; got != 4*c.served {
 			t.Errorf("%s: served %d of four copies, want %d", c.model, got, 4*c.served)
 		}
-		once := testing.AllocsPerRun(1, func() { run(tr) })
-		four := testing.AllocsPerRun(1, func() { run(long) })
+		once := testing.AllocsPerRun(3, func() { run(tr) })
+		four := testing.AllocsPerRun(3, func() { run(long) })
 		t.Logf("%s: %v allocs per run, %v on four copies", c.model, once, four)
 		if four != once {
 			t.Errorf("%s: %v allocs on four copies vs %v on one: the rounds allocate", c.model, four, once)

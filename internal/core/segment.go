@@ -9,10 +9,13 @@ package core
 // Hold), because the epoch relaxation shares an epoch's slots among all of
 // its rounds. Segment optima then sum exactly to the whole stream's optimum.
 //
-// Every consumer that segments a stream — the offline segmented and
-// incremental solvers, the JSONL segment cutter, serve's rolling optimum and
-// the streamed adaptive measurement — applies the rule through this type, so
-// the rule is written once. Use NewSegmenter; the zero value is not ready.
+// The rule is written once, here, and has two owners: offline.IncrementalOpt,
+// which seals its maximum matching at every cut and so serves Optimum,
+// OptimumStream and the streamed adaptive measurement, and
+// offline.SegmentTrace, which splits a materialized trace for the weighted
+// solvers. Serve keeps a third instance on the admission side, because it
+// must run the engine through a cut to read the closing segment's ALG. Use
+// NewSegmenter; the zero value is not ready.
 type Segmenter struct {
 	hold  int
 	count int // requests in the open segment

@@ -70,67 +70,22 @@ func TestOptimumIncrementalEqualsOptimumRandom(t *testing.T) {
 	}
 }
 
-// TestIncrementalOptReorderWithinSegment pins the satellite property: feeding
-// a segment's requests in any order yields the same sealed optimum, because
-// max-cardinality matching is order-independent. Race-enabled via the -tools
-// race list.
-func TestIncrementalOptReorderWithinSegment(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 100; trial++ {
-		tr := randomTrace(rng, 2+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(6), 5)
-		want := optimumByFlow(tr)
-		reqs := tr.Requests()
-		if len(reqs) == 0 {
-			continue
-		}
-		o := NewIncrementalOpt(tr.N)
-		for shuffle := 0; shuffle < 3; shuffle++ {
-			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-			o.Rebase(0)
-			for _, r := range reqs {
-				o.AddRequest(r)
-			}
-			if got := o.Seal(); got != want {
-				t.Fatalf("trial %d shuffle %d: sealed %d, flow %d", trial, shuffle, got, want)
-			}
-		}
-	}
-}
-
-// TestIncrementalOptSealIsolation pins that segments fed through one reused
-// tracker are independent: each seal reports exactly that segment's optimum.
+// TestIncrementalOptSealIsolation pins that traces fed through one reused
+// tracker are independent: the optima Add seals at clean cuts plus the final
+// Seal sum to exactly that trace's optimum.
 func TestIncrementalOptSealIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	o := NewIncrementalOpt(5)
 	for seg := 0; seg < 50; seg++ {
 		tr := randomTrace(rng, 5, 1+rng.Intn(3), 1+rng.Intn(6), 4)
+		got := 0
 		for _, r := range tr.Requests() {
-			o.AddRequest(r)
+			v, _ := o.Add(r.Arrive, r.D, r.Alts)
+			got += v
 		}
-		if got, want := o.Seal(), optimumByFlow(tr); got != want {
+		if got, want := got+o.Seal(), optimumByFlow(tr); got != want {
 			t.Fatalf("segment %d: sealed %d, flow %d", seg, got, want)
 		}
-	}
-}
-
-// TestIncrementalOptServableBit pins Add's return value: it reports whether
-// the offline optimum of the open segment grew, so the running count of true
-// returns equals Opt().
-func TestIncrementalOptServableBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	tr := randomTrace(rng, 4, 3, 6, 5)
-	o := NewIncrementalOpt(tr.N)
-	grew := 0
-	for _, r := range tr.Requests() {
-		if o.AddRequest(r) {
-			grew++
-		}
-		if grew != o.Opt() {
-			t.Fatalf("after request %d: %d grows, Opt %d", r.ID, grew, o.Opt())
-		}
-	}
-	if want := optimumByFlow(tr); o.Opt() != want {
-		t.Fatalf("final Opt %d, flow %d", o.Opt(), want)
 	}
 }
 

@@ -10,7 +10,6 @@ package offline
 
 import (
 	"fmt"
-	"iter"
 	"runtime"
 	"sort"
 	"sync"
@@ -400,22 +399,4 @@ func solvePool(sp space, segs []Segment, obj Objective, workers int) (int, []cor
 	}
 	sort.Slice(log, func(i, j int) bool { return log[i].Req.ID < log[j].Req.ID })
 	return int(total), log
-}
-
-// OptimumStream sums Optimum over a stream of independent sub-traces (one
-// per yielded value, e.g. trace.Segments over a JSONL stream), holding one
-// segment in memory at a time — the bounded-memory evaluation path for
-// traces too large to materialize. It returns the total optimum and the
-// number of segments consumed. The first error from the iterator stops
-// consumption and is returned. It is kept beside Optimum because its input
-// is never a materialized trace; tracegen is its caller.
-func OptimumStream(segments iter.Seq2[*core.Trace, error]) (opt, nsegs int, err error) {
-	for tr, err := range segments {
-		if err != nil {
-			return 0, nsegs, err
-		}
-		nsegs++
-		opt += Optimum(tr)
-	}
-	return opt, nsegs, nil
 }

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -52,11 +53,11 @@ func fuzzEncode(tr *core.Trace) []byte {
 }
 
 // FuzzSegmentCuts pins the one clean-cut rule under every service model it
-// has to honour: the in-memory segmenter (SegmentTrace) and the JSONL cutter
-// (trace.SegmentsOfModel) cut the same records at the same rounds, and every
-// OPT path — Optimum on the whole trace, the sum of Optimum over the cut
-// sub-traces, OptimumStream and the segment pool's Profit on the unweighted
-// trace — reports the Dinic max-flow optimum of the full graph. Seeds are the
+// has to honour: IncrementalOpt seals at exactly SegmentTrace's cut rounds,
+// OptimumStream over the JSONL form counts the same segments, and every OPT
+// path — Optimum on the whole trace, the sum of IncrementalOpt's seals,
+// OptimumStream and the segment pool's Profit on the unweighted trace —
+// reports the Dinic max-flow optimum of the full graph. Seeds are the
 // cmd/verify hold × cap grid's reusable workloads, plus gapped inputs that do
 // cut.
 func FuzzSegmentCuts(f *testing.F) {
@@ -90,43 +91,40 @@ func FuzzSegmentCuts(f *testing.F) {
 				want = append(want, seg.Lo)
 			}
 		}
-		stream := func(yield func(trace.StreamRecord, error) bool) {
-			for _, r := range recs {
-				if !yield(r, nil) {
-					return
-				}
-			}
-		}
-		segs := trace.SegmentsOfModel(n, d, m, stream)
+		o := NewIncrementalOptModel(n, m)
 		var got []int
-		first, nsub, sum := 0, 0, 0
-		for sub, err := range segs {
-			if err != nil {
-				t.Fatal(err)
+		fed := 0
+		for _, r := range recs {
+			v, sealed := o.Add(r.T, r.D, r.Alts)
+			if sealed {
+				got = append(got, r.T)
 			}
-			if first > 0 {
-				got = append(got, recs[first].T)
-			}
-			first += sub.NumRequests()
-			nsub++
-			sum += Optimum(sub)
+			fed += v
 		}
+		fed += o.Seal()
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d d=%d %s: SegmentTrace cuts at %v, SegmentsOfModel at %v", n, d, m, want, got)
+			t.Fatalf("n=%d d=%d %s: SegmentTrace cuts at %v, IncrementalOpt seals at %v", n, d, m, want, got)
 		}
 
-		opt := optimumByFlow(tr)
-		streamed, nsegs, err := OptimumStream(segs)
+		var buf bytes.Buffer
+		if err := trace.WriteStream(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		streamed, nsegs, err := OptimumStream(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if wantSegs := min(len(recs), len(want)+1); nsegs != wantSegs {
+			t.Fatalf("n=%d d=%d %s: OptimumStream counts %d segments, want %d", n, d, m, nsegs, wantSegs)
+		}
+		opt := optimumByFlow(tr)
 		profit, _ := Solve(tr, Profit, 2)
 		checks := []struct {
 			name string
 			v    int
 		}{
 			{"Optimum", Optimum(tr)},
-			{"Σ Optimum(sub-trace)", sum},
+			{"IncrementalOpt seals", fed},
 			{"Solve(tr, Profit, 2)", profit},
 			{"OptimumStream", streamed},
 		}
@@ -134,9 +132,6 @@ func FuzzSegmentCuts(f *testing.F) {
 			if c.v != opt {
 				t.Fatalf("n=%d d=%d %s (%d segments): %s = %d, flow = %d", n, d, m, nsegs, c.name, c.v, opt)
 			}
-		}
-		if nsegs != nsub {
-			t.Fatalf("OptimumStream consumed %d segments, the cutter yields %d", nsegs, nsub)
 		}
 	})
 }

@@ -21,10 +21,8 @@ func gappedBursty(rounds int) *core.Trace {
 // TestIncrementalOptWork pins the exact cost of the incremental optimum on
 // the gapped bursty trace: its value, the augmenting searches it starts and
 // the rights they mark, and its allocations, which must not grow with the
-// trace. The cold pass — a fresh Optimum, and so a fresh matcher, per
-// materialized segment, the shape OptimumStream runs — is pinned beside it:
-// its allocations grow with the segment count, where the one sealed matcher's
-// do not. The counts are a
+// trace. OptimumStream, the same pass over the trace written as JSONL, must
+// reach the same optimum over the same 100 segments. The counts are a
 // property of the code, not of the host, so an algorithmic regression fails
 // here on any machine; an intended change updates the pins in the same diff.
 func TestIncrementalOptWork(t *testing.T) {
@@ -43,6 +41,18 @@ func TestIncrementalOptWork(t *testing.T) {
 		t.Errorf("incremental work %+v, want %+v", got, want)
 	}
 
+	var buf bytes.Buffer
+	if err := trace.WriteStream(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	streamed, nsegs, err := OptimumStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed != wantOpt || nsegs != 100 {
+		t.Errorf("OptimumStream = %d over %d segments, want %d over 100", streamed, nsegs, wantOpt)
+	}
+
 	if testing.Short() {
 		t.Skip("allocation counting is slow with -short")
 	}
@@ -52,33 +62,5 @@ func TestIncrementalOptWork(t *testing.T) {
 	t.Logf("Optimum: %v allocs per run at 1x, %v at 4x", short, longer)
 	if longer != short {
 		t.Errorf("Optimum: %v allocs at 4x the trace vs %v at 1x: the requests allocate", longer, short)
-	}
-
-	var buf bytes.Buffer
-	if err := trace.WriteStream(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	var segs []*core.Trace
-	for sub, err := range trace.Segments(&buf) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs = append(segs, sub)
-	}
-	if len(segs) != 100 {
-		t.Fatalf("%d segments, want 100", len(segs))
-	}
-	const wantCold = 5992
-	cold := testing.AllocsPerRun(3, func() {
-		sum := 0
-		for _, sub := range segs {
-			sum += Optimum(sub)
-		}
-		if sum != wantOpt {
-			t.Fatalf("cold segment sum %d, want %d", sum, wantOpt)
-		}
-	})
-	if cold != wantCold {
-		t.Errorf("cold per-segment pass: %v allocs per run, want %d", cold, wantCold)
 	}
 }

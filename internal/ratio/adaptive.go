@@ -17,31 +17,26 @@ import (
 // solver behind serve's rolling ratio), sealed at core.Segmenter's clean
 // cuts. At a clean cut every earlier request is already served or expired,
 // so the engine no longer references the earlier rows and the garbage
-// collector reclaims them — the full trace never exists in memory, and no
-// segment sub-trace is ever built. It returns the measurement (OPT equals
-// offline.Optimum of the trace core.RunAdaptive generates from the same
-// source) and the number of segments the run decomposed into.
+// collector reclaims them — the full trace never exists in memory. It
+// returns the measurement (OPT equals offline.Optimum of the trace
+// core.RunAdaptive generates from the same source) and the number of
+// segments the run decomposed into.
 func RunAdaptiveStream(s core.Strategy, src core.AdaptiveSource) (Measurement, int) {
 	inc := offline.NewIncrementalOpt(src.N())
-	cut := core.NewSegmenter(core.UnitModel())
 	opt, nsegs := 0, 0
-	seal := func() {
-		opt += inc.Seal()
-		nsegs++
-	}
 	res := core.RunAdaptiveObserved(s, src, func(t int, arrivals []core.Request) {
 		for i := range arrivals {
 			a := &arrivals[i]
-			if _, ok := cut.Cut(a.Arrive); ok {
-				seal()
+			if v, sealed := inc.Add(a.Arrive, a.D, a.Alts); sealed {
+				opt += v
+				nsegs++
 			}
-			inc.Add(a.Arrive, a.D, a.Alts)
-			cut.Add(a.Deadline())
 		}
 	})
-	if _, ok := cut.Close(); ok {
-		seal()
+	if inc.Count() > 0 {
+		nsegs++
 	}
+	opt += inc.Seal()
 	return Measurement{
 		Strategy: s.Name(),
 		Input:    "adaptive",

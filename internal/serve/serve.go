@@ -177,7 +177,9 @@ func New(cfg Config) (*Server, error) {
 // request, all scratch reused across segments — so a seal folds the finished
 // value in immediately instead of paying a whole-segment solve. It touches no
 // engine state, so optimum maintenance never blocks ingest (beyond the
-// bounded channel's backpressure).
+// bounded channel's backpressure). Admission sends the seal job before the
+// first batch past a clean cut, because it must run the engine through the
+// cut for the segment's ALG, so Add's own cut never fires here.
 func (s *Server) optWorker() {
 	defer s.wg.Done()
 	inc := offline.NewIncrementalOptModel(s.cfg.N, s.cfg.Model)

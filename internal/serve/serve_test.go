@@ -143,7 +143,7 @@ func TestVirtualClockBitIdenticalToRun(t *testing.T) {
 	// Rolling ratio: OPT over solved segments must equal the stream's offline
 	// optimum, ALG the engine's fulfillments, and the segment count the
 	// clean-cut segmentation of the same stream.
-	opt, nsegs, err := offline.OptimumStream(trace.Segments(bytes.NewReader(buf.Bytes())))
+	opt, nsegs, err := offline.OptimumStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // same records as the document format, so both describe identical traces.
 // The arrival-order requirement is what makes single-pass segmentation
 // possible: a reader can cut the stream wherever an arrival round lies past
-// every earlier request's deadline, and hand each independent time segment
-// to the offline solver without ever holding more than one segment.
+// every earlier request's deadline and seal each independent time segment's
+// offline optimum without ever holding more than one segment.
 package trace
 
 import (
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"math"
 
 	"reqsched/internal/core"
@@ -71,7 +70,8 @@ func NewStreamWriterModel(w io.Writer, n, d int, m core.ServiceModel) (*StreamWr
 // Add appends one request arriving at round t with deadline window d (<= 0:
 // the stream default), weight w (<= 1: the default 1) and the given
 // alternatives. Arrival rounds must be nondecreasing — the property
-// single-pass readers and the Segments cutter rely on.
+// single-pass readers and the clean-cut segmentation of the offline optimum
+// rely on.
 func (sw *StreamWriter) Add(t, d, w int, alts ...int) error {
 	if t < sw.lastT {
 		return fmt.Errorf("trace: stream arrival at round %d after round %d", t, sw.lastT)
@@ -582,124 +582,4 @@ func ReadStream(r io.Reader) (*core.Trace, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// SegmentCutter accumulates requests fed in nondecreasing arrival-round
-// order and cuts them into independent time segments at core.Segmenter's
-// clean cuts: before every request whose arrival round is past the deadline
-// of every request of the open segment, epoch-aligned under hold > 1. Each
-// finished segment is a self-contained sub-trace with rounds shifted to
-// start at 0 and its own request IDs from 0; segment optima therefore sum to
-// the whole input's optimum. It is the push-style core under Segments and
-// SegmentsOfModel.
-type SegmentCutter struct {
-	n, d int
-	m    core.ServiceModel
-	b    *core.Builder
-	cut  core.Segmenter
-	lo   int
-}
-
-// NewSegmentCutterModel returns a cutter for requests over n resources with
-// default deadline window d under service model m. With hold > 1 cuts fall
-// only on epoch boundaries, so a service started in one segment cannot still
-// occupy its resource in the next, and segment origins are shifted only by
-// whole epochs so each segment's epoch-relaxed optimum is unchanged by the
-// shift.
-func NewSegmentCutterModel(n, d int, m core.ServiceModel) *SegmentCutter {
-	m = m.Norm()
-	return &SegmentCutter{n: n, d: d, m: m, b: newSegBuilder(n, d, m), cut: core.NewSegmenter(m)}
-}
-
-func newSegBuilder(n, d int, m core.ServiceModel) *core.Builder {
-	b := core.NewBuilder(n, d)
-	if !m.IsUnit() {
-		b.SetModel(m)
-	}
-	return b
-}
-
-// Add appends one request. If the request opens a new segment, the finished
-// segment is returned; otherwise Add returns nil. Arrival rounds must be
-// nondecreasing.
-func (sc *SegmentCutter) Add(rec StreamRecord) *core.Trace {
-	var done *core.Trace
-	if _, ok := sc.cut.Cut(rec.T); ok {
-		done = sc.flush()
-	}
-	if sc.cut.Count() == 0 {
-		// Epoch-floor the origin: shifting by a non-multiple of hold would
-		// move requests across epoch boundaries and change the segment's
-		// epoch-relaxed optimum. At hold = 1 this is exactly rec.T.
-		sc.lo = rec.T - rec.T%sc.m.Hold
-	}
-	id := sc.b.AddWindow(rec.T-sc.lo, rec.D, rec.Alts...)
-	if rec.W > 1 {
-		sc.b.SetWeight(id, rec.W)
-	}
-	sc.cut.Add(rec.Deadline())
-	return done
-}
-
-// Finish returns the trailing open segment, or nil if no requests are
-// buffered. The cutter is reusable afterwards.
-func (sc *SegmentCutter) Finish() *core.Trace {
-	if _, ok := sc.cut.Close(); !ok {
-		return nil
-	}
-	return sc.flush()
-}
-
-func (sc *SegmentCutter) flush() *core.Trace {
-	tr := sc.b.Build()
-	sc.b = newSegBuilder(sc.n, sc.d, sc.m)
-	return tr
-}
-
-// SegmentsOfModel cuts any source of stream records — already validated, in
-// nondecreasing arrival order — into independent time segments under service
-// model m, holding at most one open segment. Segments carry the model and
-// cuts respect its epoch boundaries. A record error is yielded once as (nil,
-// err) and ends the iteration.
-func SegmentsOfModel(n, d int, m core.ServiceModel, recs iter.Seq2[StreamRecord, error]) iter.Seq2[*core.Trace, error] {
-	return func(yield func(*core.Trace, error) bool) {
-		sc := NewSegmentCutterModel(n, d, m)
-		for rec, err := range recs {
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if done := sc.Add(rec); done != nil && !yield(done, nil) {
-				return
-			}
-		}
-		if done := sc.Finish(); done != nil {
-			yield(done, nil)
-		}
-	}
-}
-
-// Segments iterates over the independent time segments of a JSONL trace
-// stream without ever materializing more than one segment. A header or
-// record error is yielded once as (nil, err) and ends the iteration.
-func Segments(r io.Reader) iter.Seq2[*core.Trace, error] {
-	return func(yield func(*core.Trace, error) bool) {
-		sr, err := NewStreamReader(r)
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		recs := func(yield func(StreamRecord, error) bool) {
-			for {
-				rec, err := sr.Next()
-				if err == io.EOF {
-					return
-				}
-				if !yield(rec, err) || err != nil {
-					return
-				}
-			}
-		}
-		SegmentsOfModel(sr.N(), sr.D(), sr.Model(), recs)(yield)
-	}
 }

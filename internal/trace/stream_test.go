@@ -280,89 +280,3 @@ func TestStreamReaderTornTailAtEveryByte(t *testing.T) {
 		}
 	}
 }
-
-func TestSegmentsCutAndShift(t *testing.T) {
-	// Two bursts separated by a quiet stretch: two segments, each starting at
-	// round 0, weights preserved.
-	b := core.NewBuilder(3, 2)
-	b.Add(0, 0, 1)
-	id := b.Add(1, 1, 2)
-	b.SetWeight(id, 5)
-	b.Add(10, 0, 2)
-	tr := b.Build()
-	var buf bytes.Buffer
-	if err := WriteStream(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	var segs []*core.Trace
-	for seg, err := range Segments(&buf) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs = append(segs, seg)
-	}
-	if len(segs) != 2 {
-		t.Fatalf("got %d segments, want 2", len(segs))
-	}
-	if segs[0].NumRequests() != 2 || segs[1].NumRequests() != 1 {
-		t.Fatalf("segment sizes %d, %d", segs[0].NumRequests(), segs[1].NumRequests())
-	}
-	if segs[1].Requests()[0].Arrive != 0 {
-		t.Fatalf("second segment not shifted: arrive %d", segs[1].Requests()[0].Arrive)
-	}
-	if w := segs[0].Requests()[1].Weight(); w != 5 {
-		t.Fatalf("weight lost across segmentation: %d", w)
-	}
-	for _, seg := range segs {
-		if err := seg.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestSegmentsRequestCountsAndValidity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		tr := gappedStreamTrace(rng, 2+rng.Intn(3), 1+rng.Intn(3), 2+rng.Intn(4))
-		var buf bytes.Buffer
-		if err := WriteStream(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for seg, err := range Segments(&buf) {
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if err := seg.Validate(); err != nil {
-				t.Fatalf("trial %d: segment invalid: %v", trial, err)
-			}
-			total += seg.NumRequests()
-		}
-		if total != tr.NumRequests() {
-			t.Fatalf("trial %d: segments hold %d requests, trace has %d",
-				trial, total, tr.NumRequests())
-		}
-	}
-}
-
-func TestSegmentsPropagatesErrors(t *testing.T) {
-	input := `{"n":2,"d":2}` + "\n" + `{"t":0,"alts":[0]}` + "\n" + `{"t":9,"alts":[7]}` + "\n"
-	var got error
-	count := 0
-	for seg, err := range Segments(strings.NewReader(input)) {
-		if err != nil {
-			got = err
-			break
-		}
-		_ = seg
-		count++
-	}
-	if got == nil {
-		t.Fatal("bad record not reported")
-	}
-	// The buffered segment is only flushed by a *valid* record past its
-	// deadlines; a bad record aborts the stream without yielding it.
-	if count != 0 {
-		t.Fatalf("yielded %d segments despite the error, want 0", count)
-	}
-}

@@ -31,7 +31,6 @@ package reqsched
 
 import (
 	"io"
-	"iter"
 
 	"reqsched/internal/adversary"
 	"reqsched/internal/core"
@@ -144,13 +143,12 @@ func Solve(tr *Trace, obj Objective, workers int) (value int, log []Fulfillment)
 // the trace has no clean time cut).
 func TraceSegmentCount(tr *Trace) int { return len(offline.Segments(tr)) }
 
-// OptimumStream sums Optimum over a stream of independent sub-traces (e.g.
-// TraceSegments over a JSONL stream), holding one segment in memory at a
-// time — the bounded-memory evaluation path for traces too large to
-// materialize. It returns the total optimum and the number of segments
-// consumed.
-func OptimumStream(segments iter.Seq2[*Trace, error]) (opt, nsegs int, err error) {
-	return offline.OptimumStream(segments)
+// OptimumStream returns the offline optimum of a JSONL trace stream and the
+// number of independent segments it falls into, read one record at a time
+// through the incremental pass sealed at clean cuts — the bounded-memory
+// evaluation path for traces too large to materialize.
+func OptimumStream(r io.Reader) (opt, nsegs int, err error) {
+	return offline.OptimumStream(r)
 }
 
 // OptimumSchedule returns one optimal offline schedule.
@@ -469,11 +467,6 @@ func NewTraceStreamWriter(w io.Writer, n, d int) (*TraceStreamWriter, error) {
 func NewTraceStreamReader(r io.Reader) (*TraceStreamReader, error) {
 	return trace.NewStreamReader(r)
 }
-
-// TraceSegments iterates over the independent time segments of a JSONL trace
-// stream without materializing more than one segment; segment optima sum to
-// the whole trace's optimum (feed it to OptimumStream).
-func TraceSegments(r io.Reader) iter.Seq2[*Trace, error] { return trace.Segments(r) }
 
 // SummarizeTrace computes summary statistics for tr.
 func SummarizeTrace(tr *Trace) TraceStats { return trace.Summarize(tr) }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"reqsched"
+	"reqsched/internal/offline"
 )
 
 // benchConstruction runs one (construction, strategy) measurement per
@@ -239,9 +240,9 @@ func BenchmarkSolve(b *testing.B) {
 		tr         *reqsched.Trace
 		monolithic func(*reqsched.Trace) int
 	}{
-		{"profit", reqsched.Profit, weighted, reqsched.MaxProfit},
+		{"profit", reqsched.Profit, weighted, offline.MaxProfit},
 		{"min_latency", reqsched.MinLatency, weighted, func(tr *reqsched.Trace) int {
-			_, latency := reqsched.OptimumMinLatency(tr)
+			_, latency := offline.OptimumMinLatency(tr)
 			return latency
 		}},
 	} {

@@ -7,17 +7,22 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"reqsched"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	const d, phases = 4, 10
 	c := reqsched.AdversaryFix(d, phases)
-	fmt.Printf("construction %s: n=%d d=%d, proven forced ratio %.4f\n",
+	fmt.Fprintf(w, "construction %s: n=%d d=%d, proven forced ratio %.4f\n",
 		c.Name, c.N, c.D, c.Bound)
-	fmt.Println("trace:", reqsched.SummarizeTrace(c.Trace))
-	fmt.Println()
+	fmt.Fprintln(w, "trace:", reqsched.SummarizeTrace(c.Trace))
+	fmt.Fprintln(w)
 
 	for _, s := range []reqsched.Strategy{
 		reqsched.NewAFix(),
@@ -26,13 +31,13 @@ func main() {
 		reqsched.NewABalance(),
 	} {
 		m := reqsched.MeasureConstruction(c, s)
-		fmt.Printf("%-15s OPT=%4d ALG=%4d ratio=%.4f\n", m.Strategy, m.OPT, m.ALG, m.Ratio())
+		fmt.Fprintf(w, "%-15s OPT=%4d ALG=%4d ratio=%.4f\n", m.Strategy, m.OPT, m.ALG, m.Ratio())
 	}
 
-	fmt.Println("\nPer-phase anatomy (d=4): the adversary injects 2d-2=6 bridge requests")
-	fmt.Println("listing the soon-to-be-flooded pair first, then a block of 2d=8; A_fix")
-	fmt.Println("pins the bridges onto the flooded pair and serves only 8 of 14, while")
-	fmt.Println("rescheduling strategies move the bridges aside and serve all 14.")
+	fmt.Fprintln(w, "\nPer-phase anatomy (d=4): the adversary injects 2d-2=6 bridge requests")
+	fmt.Fprintln(w, "listing the soon-to-be-flooded pair first, then a block of 2d=8; A_fix")
+	fmt.Fprintln(w, "pins the bridges onto the flooded pair and serves only 8 of 14, while")
+	fmt.Fprintln(w, "rescheduling strategies move the bridges aside and serve all 14.")
 
 	// The same idea as an API user would write it: craft one phase by hand.
 	b := reqsched.NewBuilder(4, d)
@@ -45,15 +50,15 @@ func main() {
 	tr := b.Build()
 	fix := reqsched.Run(reqsched.NewAFix(), tr)
 	eager := reqsched.Run(reqsched.NewAEager(), tr)
-	fmt.Printf("\nhand-built phase: OPT=%d  A_fix=%d  A_eager=%d\n",
+	fmt.Fprintf(w, "\nhand-built phase: OPT=%d  A_fix=%d  A_eager=%d\n",
 		reqsched.Optimum(tr), fix.Fulfilled, eager.Fulfilled)
 
-	fmt.Println("\narrivals:")
-	fmt.Print(reqsched.RenderArrivals(tr, 0, -1))
-	fmt.Println("\nA_fix schedule (note resources 0 and 3 idle after round", d, "):")
-	fmt.Print(reqsched.RenderGrid(tr, fix.Log, 0, -1))
-	fmt.Println("\nA_fix losses:")
-	fmt.Print(reqsched.RenderLosses(tr, fix.Log))
-	fmt.Println("\nA_eager schedule (bridges rescheduled onto 0 and 3):")
-	fmt.Print(reqsched.RenderGrid(tr, eager.Log, 0, -1))
+	fmt.Fprintln(w, "\narrivals:")
+	fmt.Fprint(w, reqsched.RenderArrivals(tr, 0, -1))
+	fmt.Fprintln(w, "\nA_fix schedule (note resources 0 and 3 idle after round", d, "):")
+	fmt.Fprint(w, reqsched.RenderGrid(tr, fix.Log, 0, -1))
+	fmt.Fprintln(w, "\nA_fix losses:")
+	fmt.Fprint(w, reqsched.RenderLosses(tr, fix.Log))
+	fmt.Fprintln(w, "\nA_eager schedule (bridges rescheduled onto 0 and 3):")
+	fmt.Fprint(w, reqsched.RenderGrid(tr, eager.Log, 0, -1))
 }

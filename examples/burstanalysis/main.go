@@ -10,13 +10,18 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 
 	"reqsched"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	const (
 		n = 8
 		d = 4
@@ -39,39 +44,39 @@ func main() {
 		b.Add(11, 2, 1)
 	}
 	tr := b.Build()
-	fmt.Println("burst workload:", reqsched.SummarizeTrace(tr))
+	fmt.Fprintln(w, "burst workload:", reqsched.SummarizeTrace(tr))
 	opt := reqsched.Optimum(tr)
-	fmt.Printf("offline optimum: %d of %d\n\n", opt, tr.NumRequests())
+	fmt.Fprintf(w, "offline optimum: %d of %d\n\n", opt, tr.NumRequests())
 
 	for _, s := range []reqsched.Strategy{reqsched.NewAFix(), reqsched.NewABalance()} {
 		res, series := reqsched.RunWithSeries(s, tr)
-		fmt.Printf("--- %s: served %d (OPT %d) ---\n", res.Strategy, res.Fulfilled, opt)
-		fmt.Println("backlog per round (unscheduled pending requests):")
+		fmt.Fprintf(w, "--- %s: served %d (OPT %d) ---\n", res.Strategy, res.Fulfilled, opt)
+		fmt.Fprintln(w, "backlog per round (unscheduled pending requests):")
 		for _, r := range series.Rounds {
 			if r.T < 8 || r.T > 20 {
 				continue
 			}
-			fmt.Printf("  t=%2d |%s %d\n", r.T, strings.Repeat("#", r.Backlog), r.Backlog)
+			fmt.Fprintf(w, "  t=%2d |%s %d\n", r.T, strings.Repeat("#", r.Backlog), r.Backlog)
 		}
 		orders := reqsched.AugmentingOrders(tr, res.Log)
 		if len(orders) == 0 {
-			fmt.Println("no losses: schedule is optimal")
+			fmt.Fprintln(w, "no losses: schedule is optimal")
 		} else {
 			var ks []int
 			for k := range orders {
 				ks = append(ks, k)
 			}
 			sort.Ints(ks)
-			fmt.Println("losses by augmenting-path order (requests per path):")
+			fmt.Fprintln(w, "losses by augmenting-path order (requests per path):")
 			for _, k := range ks {
-				fmt.Printf("  order %d: %d paths\n", k, orders[k])
+				fmt.Fprintf(w, "  order %d: %d paths\n", k, orders[k])
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("A_fix's losses sit on short augmenting paths — one or two reassignments")
-	fmt.Println("would have saved them, but A_fix never reschedules. A_balance's")
-	fmt.Println("remaining losses (if any) need longer chains, matching its stronger")
-	fmt.Println("guarantee (no augmenting paths of order < 3).")
+	fmt.Fprintln(w, "A_fix's losses sit on short augmenting paths — one or two reassignments")
+	fmt.Fprintln(w, "would have saved them, but A_fix never reschedules. A_balance's")
+	fmt.Fprintln(w, "remaining losses (if any) need longer chains, matching its stronger")
+	fmt.Fprintln(w, "guarantee (no augmenting paths of order < 3).")
 }

@@ -12,11 +12,16 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"reqsched"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	cfg := reqsched.WorkloadConfig{N: 8, D: 4, Rounds: 200, Rate: 12, Seed: 5}
 	const maxW = 10
 	tr := reqsched.Weighted(cfg, maxW)
@@ -25,12 +30,12 @@ func main() {
 	for _, r := range tr.Requests() {
 		totalWeight += r.Weight()
 	}
-	maxProfit := reqsched.MaxProfit(tr)
-	fmt.Println("weighted workload:", reqsched.SummarizeTrace(tr))
-	fmt.Printf("total offered weight %d; offline max profit %d; plain optimum (count) %d\n\n",
+	maxProfit, _ := reqsched.Solve(tr, reqsched.Profit, 0)
+	fmt.Fprintln(w, "weighted workload:", reqsched.SummarizeTrace(tr))
+	fmt.Fprintf(w, "total offered weight %d; offline max profit %d; plain optimum (count) %d\n\n",
 		totalWeight, maxProfit, reqsched.Optimum(tr))
 
-	fmt.Printf("%-15s %8s %10s %12s\n", "strategy", "served", "weight", "profit ratio")
+	fmt.Fprintf(w, "%-15s %8s %10s %12s\n", "strategy", "served", "weight", "profit ratio")
 	for _, s := range []reqsched.Strategy{
 		reqsched.NewABalance(), // weight-blind rescheduler
 		reqsched.NewAFix(),     // weight-blind, no rescheduling
@@ -38,12 +43,12 @@ func main() {
 		reqsched.NewEagerWeighted(),
 	} {
 		res := reqsched.Run(s, tr)
-		fmt.Printf("%-15s %8d %10d %12.4f\n",
+		fmt.Fprintf(w, "%-15s %8d %10d %12.4f\n",
 			res.Strategy, res.Fulfilled, res.WeightFulfilled,
 			float64(maxProfit)/float64(res.WeightFulfilled))
 	}
 
-	fmt.Println("\nThe weight-blind strategies serve more requests but less value under")
-	fmt.Println("overload; the weighted rescheduler trades light requests for heavy ones")
-	fmt.Println("and tracks the offline profit closely.")
+	fmt.Fprintln(w, "\nThe weight-blind strategies serve more requests but less value under")
+	fmt.Fprintln(w, "overload; the weighted rescheduler trades light requests for heavy ones")
+	fmt.Fprintln(w, "and tracks the offline profit closely.")
 }

@@ -4,11 +4,16 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"reqsched"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	// Four disks, every request must be served within 3 rounds of arrival.
 	b := reqsched.NewBuilder(4, 3)
 
@@ -27,16 +32,16 @@ func main() {
 	}
 
 	tr := b.Build()
-	fmt.Println("trace:", reqsched.SummarizeTrace(tr))
+	fmt.Fprintln(w, "trace:", reqsched.SummarizeTrace(tr))
 
 	res := reqsched.Run(reqsched.NewABalance(), tr)
 	opt := reqsched.Optimum(tr)
 
-	fmt.Printf("A_balance served %d of %d requests (offline optimum %d)\n",
+	fmt.Fprintf(w, "A_balance served %d of %d requests (offline optimum %d)\n",
 		res.Fulfilled, tr.NumRequests(), opt)
-	fmt.Printf("mean service latency: %.2f rounds\n", res.MeanLatency())
+	fmt.Fprintf(w, "mean service latency: %.2f rounds\n", res.MeanLatency())
 	for _, f := range res.Log {
-		fmt.Printf("  round %d: disk %d serves request %d (arrived %d)\n",
+		fmt.Fprintf(w, "  round %d: disk %d serves request %d (arrived %d)\n",
 			f.Round, f.Res, f.Req.ID, f.Req.Arrive)
 	}
 
@@ -44,5 +49,5 @@ func main() {
 	if err := reqsched.ValidateLog(tr, res.Log); err != nil {
 		panic(err)
 	}
-	fmt.Println("schedule validated: one request per disk per round, all within deadline")
+	fmt.Fprintln(w, "schedule validated: one request per disk per round, all within deadline")
 }

@@ -8,30 +8,35 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"reqsched"
 	"reqsched/internal/ballsbins"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	// Part 1: balls into bins, m = n.
 	const n = 100000
-	fmt.Printf("balls-into-bins, %d balls into %d bins (5-seed average):\n", n, n)
+	fmt.Fprintf(w, "balls-into-bins, %d balls into %d bins (5-seed average):\n", n, n)
 	for _, c := range []int{1, 2, 3} {
 		sum := 0
 		for seed := int64(1); seed <= 5; seed++ {
 			sum += ballsbins.MaxLoad(ballsbins.Greedy(n, n, c, seed))
 		}
-		fmt.Printf("  c=%d choices: max load %.1f\n", c, float64(sum)/5)
+		fmt.Fprintf(w, "  c=%d choices: max load %.1f\n", c, float64(sum)/5)
 	}
-	fmt.Printf("  (theory: c=1 ~ ln n/ln ln n = %.1f; c=2 ~ ln ln n/ln 2 = %.1f)\n\n",
+	fmt.Fprintf(w, "  (theory: c=1 ~ ln n/ln ln n = %.1f; c=2 ~ ln ln n/ln 2 = %.1f)\n\n",
 		math.Log(n)/math.Log(math.Log(n)), math.Log(math.Log(n))/math.Log(2))
 
 	// Part 1b: the parallel collision protocol — the communication-round
 	// model behind Section 3.2's local strategies.
 	res := ballsbins.Collision(n, n, 2, 4, 40, 1)
-	fmt.Printf("collision protocol (2 choices, threshold 4): all %d balls placed in %d rounds\n\n",
+	fmt.Fprintf(w, "collision protocol (2 choices, threshold 4): all %d balls placed in %d rounds\n\n",
 		n-res.Unplaced, res.Rounds)
 
 	// Part 2: the same principle in the deadline scheduler. One arrival
@@ -47,11 +52,11 @@ func main() {
 	}{{"one alternative ", one}, {"two alternatives", two}} {
 		res := reqsched.Run(reqsched.NewABalance(), tc.tr)
 		opt := reqsched.Optimum(tc.tr)
-		fmt.Printf("scheduler, %s: served %4d of %4d (offline optimum %4d, loss %.1f%%)\n",
+		fmt.Fprintf(w, "scheduler, %s: served %4d of %4d (offline optimum %4d, loss %.1f%%)\n",
 			tc.name, res.Fulfilled, tc.tr.NumRequests(), opt,
 			100*float64(tc.tr.NumRequests()-res.Fulfilled)/float64(tc.tr.NumRequests()))
 	}
-	fmt.Println("\nThe second choice absorbs the arrival randomness: most of the")
-	fmt.Println("single-choice losses are hot-spot collisions a second disk removes —")
-	fmt.Println("the reason the paper's model gives every request two alternatives.")
+	fmt.Fprintln(w, "\nThe second choice absorbs the arrival randomness: most of the")
+	fmt.Fprintln(w, "single-choice losses are hot-spot collisions a second disk removes —")
+	fmt.Fprintln(w, "the reason the paper's model gives every request two alternatives.")
 }

@@ -38,7 +38,7 @@ func run(w io.Writer) {
 	fmt.Fprintln(w, "video-on-demand workload:", reqsched.SummarizeTrace(tr))
 
 	opt := reqsched.Optimum(tr)
-	_, optLatency := reqsched.OptimumMinLatency(tr)
+	optLatency, _ := reqsched.Solve(tr, reqsched.MinLatency, 0)
 	fmt.Fprintf(w, "offline optimum serves %d of %d requests (best possible mean latency %.2f)\n\n",
 		opt, tr.NumRequests(), float64(optLatency)/float64(opt))
 

@@ -5,13 +5,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 
 	"reqsched"
 	"reqsched/internal/core"
 	"reqsched/internal/grid"
+	"reqsched/internal/ratio"
 	"reqsched/internal/registry"
 	"reqsched/internal/stats"
 )
@@ -228,7 +228,7 @@ func SchedsimMain(args []string, stdout, stderr io.Writer) int {
 		res := reqsched.Run(reqsched.StrategyByName(name), tr)
 		fmt.Fprintf(stdout, "%-20s %9d %7d %9s %9.2f %9.3f %10d %9d\n",
 			name, res.Fulfilled, res.Expired,
-			reqsched.FormatRatio(ratioOf(opt, res.Fulfilled), 4), res.MeanLatency(),
+			reqsched.FormatRatio(ratio.Measurement{OPT: opt, ALG: res.Fulfilled}.Ratio(), 4), res.MeanLatency(),
 			imbalance(res.PerResource), res.CommRounds, res.Messages)
 		if *latHist {
 			printLatencyHist(stdout, name, tr, res)
@@ -281,18 +281,6 @@ func runnable(stderr io.Writer, spec string, m core.ServiceModel) reqsched.Strat
 		return nil
 	}
 	return s
-}
-
-// ratioOf is OPT/ALG: 1 when both served nothing, +Inf when only the
-// strategy starved (OPT served something, ALG nothing).
-func ratioOf(opt, alg int) float64 {
-	if alg == 0 {
-		if opt == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return float64(opt) / float64(alg)
 }
 
 // imbalance is max/mean of the per-resource service counts (1.0 = perfectly

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -84,11 +83,10 @@ func SweepMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	addrs := splitAddrs(*workersAt)
-	linkSpec := *linkChaos
-	if linkSpec == "" {
-		linkSpec = os.Getenv(chaos.EnvLink)
+	linkFault, err := chaos.LinkFromEnv()
+	if *linkChaos != "" {
+		linkFault, err = chaos.ParseLink(*linkChaos)
 	}
-	linkFault, err := chaos.ParseLink(linkSpec)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2

@@ -175,11 +175,11 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		wtr := reqsched.WithWeights(tr, 8, 77)
-		wantP := reqsched.MaxProfit(wtr)
+		wantP := offline.MaxProfit(wtr)
 		gotP, _ := reqsched.Solve(wtr, reqsched.Profit, w)
 		add("segmented profit: "+r.name, gotP == wantP,
 			"parallel %d vs monolithic %d", gotP, wantP)
-		_, wantL := reqsched.OptimumMinLatency(wtr)
+		_, wantL := offline.OptimumMinLatency(wtr)
 		gotL, logP := reqsched.Solve(wtr, reqsched.MinLatency, w)
 		add("segmented min latency: "+r.name,
 			gotL == wantL && reqsched.ValidateLog(wtr, logP) == nil,
@@ -201,10 +201,10 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 			tr = reqsched.Bursty(cfg, 3, 2+rng.Intn(5), r)
 		}
 		wtr := reqsched.WithWeights(tr, 1+rng.Intn(9), rng.Int63())
-		_, wantL := reqsched.OptimumMinLatency(wtr)
+		_, wantL := offline.OptimumMinLatency(wtr)
 		gotL, _ := reqsched.Solve(wtr, reqsched.MinLatency, w)
 		gotP, _ := reqsched.Solve(wtr, reqsched.Profit, w)
-		if gotP != reqsched.MaxProfit(wtr) || gotL != wantL {
+		if gotP != offline.MaxProfit(wtr) || gotL != wantL {
 			wMismatches++
 		}
 	}

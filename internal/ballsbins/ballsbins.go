@@ -70,15 +70,6 @@ func MaxLoad(loads []int) int {
 	return max
 }
 
-// TotalLoad returns the number of balls placed.
-func TotalLoad(loads []int) int {
-	total := 0
-	for _, l := range loads {
-		total += l
-	}
-	return total
-}
-
 // CollisionResult reports one run of the parallel collision protocol.
 type CollisionResult struct {
 	// Loads is the final allocation.

@@ -9,7 +9,7 @@ import (
 func TestGreedyConservesBalls(t *testing.T) {
 	f := func(seed int64) bool {
 		loads := Greedy(500, 50, 2, seed)
-		return TotalLoad(loads) == 500
+		return totalLoad(loads) == 500
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestGreedyPanicsOnBadArgs(t *testing.T) {
 func TestSampleDistinct(t *testing.T) {
 	f := func(seed int64) bool {
 		loads := Greedy(1, 20, 5, seed) // exercises sample(5 of 20)
-		return TotalLoad(loads) == 1
+		return totalLoad(loads) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestSampleDistinct(t *testing.T) {
 	rngSeeds := []int64{1, 2, 3}
 	for _, s := range rngSeeds {
 		loads := Greedy(200, 7, 7, s)
-		if TotalLoad(loads) != 200 {
+		if totalLoad(loads) != 200 {
 			t.Fatal("sample broke conservation")
 		}
 	}
@@ -118,8 +118,8 @@ func TestCollisionPlacesEverything(t *testing.T) {
 	if res.Unplaced != 0 {
 		t.Fatalf("%d balls unplaced after %d rounds", res.Unplaced, res.Rounds)
 	}
-	if TotalLoad(res.Loads) != 1000 {
-		t.Fatalf("conservation broken: %d", TotalLoad(res.Loads))
+	if totalLoad(res.Loads) != 1000 {
+		t.Fatalf("conservation broken: %d", totalLoad(res.Loads))
 	}
 	if MaxLoad(res.Loads) > 4 {
 		t.Fatalf("threshold violated: %d", MaxLoad(res.Loads))
@@ -145,7 +145,7 @@ func TestCollisionRespectsBudget(t *testing.T) {
 	if res.Rounds > 5 {
 		t.Fatalf("rounds %d exceed budget", res.Rounds)
 	}
-	if res.Unplaced != 100-TotalLoad(res.Loads) {
+	if res.Unplaced != 100-totalLoad(res.Loads) {
 		t.Fatal("unplaced accounting broken")
 	}
 	if res.Unplaced == 0 {
@@ -184,4 +184,13 @@ func BenchmarkCollision(b *testing.B) {
 		rounds = res.Rounds
 	}
 	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// totalLoad returns the number of balls placed.
+func totalLoad(loads []int) int {
+	total := 0
+	for _, l := range loads {
+		total += l
+	}
+	return total
 }

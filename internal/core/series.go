@@ -21,26 +21,6 @@ type Series struct {
 	Rounds []RoundStats
 }
 
-// PeakPending returns the largest pending count over the run.
-func (s *Series) PeakPending() int {
-	peak := 0
-	for _, r := range s.Rounds {
-		if r.Pending > peak {
-			peak = r.Pending
-		}
-	}
-	return peak
-}
-
-// TotalIdle returns the total number of idle resource-rounds.
-func (s *Series) TotalIdle() int {
-	total := 0
-	for _, r := range s.Rounds {
-		total += r.Idle
-	}
-	return total
-}
-
 // RunWithSeries behaves exactly like Run but also records per-round
 // statistics. Run's own results are unaffected (the collector is observe-
 // only); tests assert both entry points produce identical schedules.

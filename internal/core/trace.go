@@ -30,17 +30,6 @@ func (tr *Trace) NumRequests() int {
 	return n
 }
 
-// LastArrival returns the last round with any arrivals, or -1 for an empty
-// trace.
-func (tr *Trace) LastArrival() int {
-	for t := len(tr.Arrivals) - 1; t >= 0; t-- {
-		if len(tr.Arrivals[t]) > 0 {
-			return t
-		}
-	}
-	return -1
-}
-
 // MaxD returns the largest deadline window of any request (at least tr.D).
 func (tr *Trace) MaxD() int {
 	d := tr.D
@@ -66,20 +55,6 @@ func (tr *Trace) Horizon() int {
 		}
 	}
 	return h
-}
-
-// MaxAlts returns the largest number of alternatives of any request (2 in the
-// paper's model).
-func (tr *Trace) MaxAlts() int {
-	m := 0
-	for _, rs := range tr.Arrivals {
-		for i := range rs {
-			if len(rs[i].Alts) > m {
-				m = len(rs[i].Alts)
-			}
-		}
-	}
-	return m
 }
 
 // Validate checks the structural invariants of the trace: IDs are the global

@@ -122,17 +122,6 @@ var specFields = map[string]struct {
 	"load": {func(b *BuildSpec) registry.Value { return registry.FloatVal(b.Load) }, func(b *BuildSpec, v registry.Value) { b.Load = v.F }},
 }
 
-// SpecFieldNames lists the registry parameter names BuildSpec can carry —
-// exported for the parity test that pins every registered component's
-// schema to the wire format.
-func SpecFieldNames() []string {
-	names := make([]string, 0, len(specFields))
-	for name := range specFields {
-		names = append(names, name)
-	}
-	return names
-}
-
 // Params extracts the spec's parameter set for its component's schema: one
 // value per declared parameter, straight off the fields (zeros included —
 // the wire format has no "omitted" distinct from zero).

@@ -23,7 +23,7 @@ func BenchmarkLexMax(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				LexMax(g, classOf)
+				lexMax(g, classOf)
 			}
 		})
 	}
@@ -36,11 +36,12 @@ func BenchmarkPreferLowAtClass(b *testing.B) {
 	for r := range classOf {
 		classOf[r] = int32(r % 8)
 	}
-	base := LexMax(g, classOf)
+	base := lexMax(g, classOf)
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := base.Clone()
-		PreferLowAtClass(g, m, classOf, 0)
+		sc.PreferLowAtClass(g, m, classOf, 0)
 	}
 }
 
@@ -53,7 +54,7 @@ func BenchmarkMinCostMatching(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MinCostMatching(g, costs)
+		MinCostMatchingLR(g, nil, costs)
 	}
 }
 

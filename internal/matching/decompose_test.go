@@ -102,7 +102,7 @@ func TestSymmetricDifferenceComponentsAreDisjoint(t *testing.T) {
 		for i := range order {
 			order[i] = nl - 1 - i
 		}
-		ExtendFromLeft(g, m2, order)
+		new(Scratch).ExtendFromLeft(g, m2, order)
 
 		comps := SymmetricDifference(m1, m2)
 		seenL := map[int]bool{}

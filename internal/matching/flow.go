@@ -1,9 +1,11 @@
 package matching
 
-// FlowNetwork is a directed flow network for Dinic's algorithm, used as an
-// independent cross-check of the matching solvers (a bipartite maximum
+// FlowNetwork is a directed flow network for Dinic's algorithm. Dinic is the
+// shared test oracle of the maximum-cardinality solvers: a bipartite maximum
 // matching equals the max flow of the unit-capacity network source->left->
-// right->sink).
+// right->sink, and MaxMatchingByFlow computes it independently of Kuhn and
+// Incremental. It stays exported, with no non-test caller, because the OPT
+// equivalence tests of internal/offline call it across the package boundary.
 type FlowNetwork struct {
 	n     int
 	head  []int32 // head[v]: first edge index of v, -1 if none
@@ -107,8 +109,8 @@ func min32(a, b int32) int32 {
 }
 
 // MaxMatchingByFlow computes the maximum matching cardinality of g via Dinic
-// max flow (O(E sqrt(V)) on unit-capacity networks) and exists purely as an
-// independent implementation for cross-checking.
+// max flow (O(E sqrt(V)) on unit-capacity networks): the oracle the matching
+// and offline tests check every maximum-cardinality solver against.
 func MaxMatchingByFlow(g *Graph) int {
 	nl, nr := g.NLeft(), g.NRight()
 	s := nl + nr

@@ -61,7 +61,7 @@ func TestMinCostMaxFlowPrefersCheapPath(t *testing.T) {
 	f.AddEdge(1, 3, 1, 1)
 	exp := f.AddEdge(0, 2, 1, 10)
 	f.AddEdge(2, 3, 1, 10)
-	flow, cost := f.MinCostMaxFlow(0, 3)
+	flow, cost := f.minCostMaxFlow(0, 3)
 	if flow != 2 || cost != 22 {
 		t.Fatalf("flow=%d cost=%d want 2, 22", flow, cost)
 	}
@@ -79,7 +79,7 @@ func TestMinCostMaxFlowChoosesCheapAtEqualFlow(t *testing.T) {
 	f.AddEdge(1, 3, 1, 0)
 	f.AddEdge(2, 3, 1, 0)
 	f.AddEdge(3, 4, 1, 0) // sink bottleneck: only one unit fits
-	flow, cost := f.MinCostMaxFlow(0, 4)
+	flow, cost := f.minCostMaxFlow(0, 4)
 	if flow != 1 || cost != 1 {
 		t.Fatalf("flow=%d cost=%d want 1, 1", flow, cost)
 	}
@@ -88,7 +88,7 @@ func TestMinCostMaxFlowChoosesCheapAtEqualFlow(t *testing.T) {
 	}
 }
 
-func TestMinCostMatchingCardinalityEqualsHK(t *testing.T) {
+func TestMinCostMatchingCardinalityEqualsFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 15, 15, 0.2)
@@ -96,7 +96,7 @@ func TestMinCostMatchingCardinalityEqualsHK(t *testing.T) {
 		for i := range costs {
 			costs[i] = int64(rng.Intn(10))
 		}
-		m := MinCostMatching(g, costs)
+		m := MinCostMatchingLR(g, nil, costs)
 		if err := Verify(g, m); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestMinCostMatchingOptimalCost(t *testing.T) {
 		for i := range costs {
 			costs[i] = int64(rng.Intn(20))
 		}
-		m := MinCostMatching(g, costs)
+		m := MinCostMatchingLR(g, nil, costs)
 		var got int64
 		for r, l := range m.R2L {
 			if l != None {
@@ -135,7 +135,7 @@ func TestMinCostMatchingOptimalCost(t *testing.T) {
 
 func TestMinCostMatchingReproducesLexMaxOnSmall(t *testing.T) {
 	// Encode class weights as costs (earlier class cheaper, dominating) and
-	// check MCMF reproduces the matroid greedy's class counts.
+	// check MCMF reproduces the slot greedy's class counts.
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 100; trial++ {
 		nl := 1 + rng.Intn(6)
@@ -159,10 +159,10 @@ func TestMinCostMatchingReproducesLexMaxOnSmall(t *testing.T) {
 		for r, c := range classOf {
 			costs[r] = pow(nClasses) - pow(nClasses-int(c))
 		}
-		m1 := MinCostMatching(g, costs)
-		m2 := LexMax(g, classOf)
-		v1 := padTo(ClassCounts(m1, classOf), nClasses)
-		v2 := padTo(ClassCounts(m2, classOf), nClasses)
+		m1 := MinCostMatchingLR(g, nil, costs)
+		m2 := lexMax(g, classOf)
+		v1 := classCounts(m1, classOf, nClasses)
+		v2 := classCounts(m2, classOf, nClasses)
 		if m1.Size() != m2.Size() || lexCompare(v1, v2) != 0 {
 			t.Fatalf("trial %d: mcmf %v size %d vs lexmax %v size %d",
 				trial, v1, m1.Size(), v2, m2.Size())

@@ -1,9 +1,9 @@
 // Package matching provides the bipartite-matching substrate used throughout the
 // reproduction: maximum matchings (Kuhn, and Incremental for graphs that grow
-// one left vertex at a time), weight-class (transversal-matroid) greedy for
-// the balance strategies, Mendelsohn–Dulmage merging, alternating-path
-// exchanges, max-flow and min-cost-flow cross-checks, and brute-force
-// reference solvers for tests.
+// one left vertex at a time), the augmenting passes the strategies' routers
+// run (Scratch), Mendelsohn–Dulmage merging, alternating-path exchanges,
+// min-cost flow for the weighted optima, and Dinic max-flow as the shared
+// test oracle.
 //
 // Graphs are bipartite with an explicit left side (requests, in the scheduling
 // application) and right side (time slots). All algorithms are deterministic:
@@ -79,9 +79,6 @@ func (g *Graph) NLeft() int { return g.nLeft }
 
 // NRight returns the number of right vertices.
 func (g *Graph) NRight() int { return g.nRight }
-
-// NumEdges returns the number of edges added so far.
-func (g *Graph) NumEdges() int { return g.edges }
 
 // AddEdge adds the edge (l, r). Duplicate edges are allowed but pointless;
 // callers are expected to add each edge once. Adding an edge invalidates a
@@ -277,14 +274,6 @@ func (m *Matching) UnmatchLeft(l int) {
 	}
 }
 
-// UnmatchRight removes the pair containing right vertex r, if any.
-func (m *Matching) UnmatchRight(r int) {
-	if l := m.R2L[r]; l != None {
-		m.L2R[l] = None
-		m.R2L[r] = None
-	}
-}
-
 // Clone returns a deep copy of the matching.
 func (m *Matching) Clone() *Matching {
 	c := &Matching{
@@ -294,17 +283,6 @@ func (m *Matching) Clone() *Matching {
 	copy(c.L2R, m.L2R)
 	copy(c.R2L, m.R2L)
 	return c
-}
-
-// Pairs returns the matched (left, right) pairs in ascending left order.
-func (m *Matching) Pairs() [][2]int {
-	var ps [][2]int
-	for l, r := range m.L2R {
-		if r != None {
-			ps = append(ps, [2]int{l, int(r)})
-		}
-	}
-	return ps
 }
 
 // Verify checks structural consistency of m against g: mutual pointers, index

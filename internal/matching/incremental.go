@@ -42,8 +42,8 @@ type Incremental struct {
 	// failure instead of by every one. Without this, an oversubscribed
 	// segment pays Θ(E) per failed insertion — the Kuhn worst case that made
 	// the incremental path slower than a batched solve. The one-shot
-	// augmenter behind ExtendFromLeft/ExtendFromRight prunes the same way
-	// within one pass.
+	// augmenter behind Scratch.ExtendFromLeft/ExtendFromRight prunes the
+	// same way within one pass.
 	gen   uint32
 	deadR []uint32 // gen when right vertex joined a saturated region
 	trail []int32  // rights visited by the current search, for marking
@@ -72,9 +72,6 @@ func (inc *Incremental) Size() int { return inc.size }
 // counted). Like Scratch.Work, the counts depend only on the inputs and the
 // code, so tests pin them exactly.
 func (inc *Incremental) Work() Work { return inc.work }
-
-// MatchedRight returns the right vertex matched to left vertex l, or None.
-func (inc *Incremental) MatchedRight(l int) int32 { return inc.l2r[l] }
 
 // Rewind resets the matcher to an empty graph, keeping every buffer — the
 // segment-seal operation: after a sealed segment's size is read off, the next

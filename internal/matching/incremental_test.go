@@ -67,7 +67,7 @@ func TestIncrementalMatchingConsistent(t *testing.T) {
 	feed(inc, rows, 40)
 	matched := 0
 	for l := 0; l < inc.NLeft(); l++ {
-		r := inc.MatchedRight(l)
+		r := inc.l2r[l]
 		if r == None {
 			continue
 		}

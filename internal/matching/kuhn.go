@@ -19,56 +19,28 @@ func Kuhn(g *Graph) *Matching {
 	return m
 }
 
-// ExtendFromLeft augments m from each listed free left vertex in the given
-// order. Left vertices that are already matched are skipped. It returns the
-// number of successful augmentations. Matched vertices are never unmatched by
-// augmentation, so any "already scheduled" invariant is preserved. Searches
-// skip regions an earlier failed search of the call proved saturated (see
-// augmenter); the matching is the one the unpruned search order reaches.
-func ExtendFromLeft(g *Graph, m *Matching, order []int) int {
-	var sc Scratch
-	return sc.ExtendFromLeft(g, m, order)
-}
-
-// ExtendFromRight augments m from each listed free right vertex in the given
-// order, exploring left neighbors in adjacency order. Used by the
-// weight-class (transversal matroid) greedy: processing right vertices in
-// descending weight order yields a maximum matching whose matched right set
-// has maximum weight.
-//
-// Once a search from a free right fails, every left it visited is matched
-// into the rights it visited, so no later search of the call can augment
-// through them; they are skipped from then on (see augmenter). Under load
-// most slot searches fail, so this turns the k failed searches into a
-// saturated component of size s from O(k·s) visits into O(k + s), and the
-// resulting matching is bit-identical to the unpruned search.
-func ExtendFromRight(g *Graph, m *Matching, order []int) int {
-	var sc Scratch
-	return sc.ExtendFromRight(g, m, order)
-}
-
 // augmenter holds the scratch state for repeated augmenting-path searches so
 // that visited marks are cleared in O(1) between searches (stamping). An
 // augmenter can be rebound to successive graphs via bind, which reuses the
 // mark storage: marks only ever increase, so marks left over from an earlier
 // graph or pass can never read as visited.
 //
-// Searches run in passes (one ExtendFromLeft/ExtendFromRight/Kuhn call), and
-// a pass prunes saturated ("dead") regions, as Incremental does for its
-// growing graph. Invariant: a vertex marked dead cannot lie on any augmenting
-// path for the rest of the pass. Proof, for searches from the right (the
-// left side mirrors it): let a search from free right r fail, having visited
-// rights R* (r and the partners of the lefts it entered) and lefts L*. A
-// free left adjacent to a visited right would have ended the search, so
-// every neighbor of R* lies in L* and every l in L* is matched into R*. An
-// alternating path that enters L* therefore alternates between L* and R*
-// forever and never reaches a free left; so no later search of the pass
-// succeeds through L*, the matching on L* ∪ R* never changes, and the
-// argument keeps holding for the rest of the pass. A pruned branch is thus
+// Searches run in passes (one Kuhn, Scratch.ExtendFromLeft or
+// Scratch.ExtendFromRight call), and a pass prunes saturated ("dead") regions,
+// as Incremental does for its growing graph. Invariant: a vertex marked dead
+// cannot lie on any augmenting path for the rest of the pass. Proof, for
+// searches from the right (the left side mirrors it): let a search from free
+// right r fail, having visited rights R* (r and the partners of the lefts it
+// entered) and lefts L*. A free left adjacent to a visited right would have
+// ended the search, so every neighbor of R* lies in L* and every l in L* is
+// matched into R*. An alternating path that enters L* therefore alternates
+// between L* and R* forever and never reaches a free left; so no later search
+// of the pass succeeds through L*, the matching on L* ∪ R* never changes, and
+// the argument keeps holding for the rest of the pass. A pruned branch is thus
 // one the unpruned search would have walked and returned false from without
-// touching the matching, and every vertex it would have marked is itself
-// dead — so each search finds the same first path, and every matching is
-// identical to the unpruned one.
+// touching the matching, and every vertex it would have marked is itself dead
+// — so each search finds the same first path, and every matching is identical
+// to the unpruned one.
 //
 // Only the side a search tests is marked: searches from the right test seenL
 // (rights are reached only as partners of lefts), searches from the left

@@ -207,7 +207,7 @@ func TestExtendFromLeftPreservesMatched(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		ExtendFromLeft(g, m, order)
+		new(Scratch).ExtendFromLeft(g, m, order)
 		for l := range before {
 			if m.L2R[l] == None {
 				t.Fatalf("trial %d: augmentation unmatched left %d", trial, l)
@@ -275,14 +275,27 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
-func ExampleLexMax() {
-	// Two requests, two slot classes: the lexicographic greedy covers the
-	// class-0 slot even though a plain maximum matching might not.
+func ExampleScratch_ExtendFromRight() {
+	// Two requests, two slots in class order: the slot greedy covers the
+	// early slot even though a plain maximum matching might not.
 	g := NewGraph(2, 2)
 	g.AddEdge(0, 0) // request 0 can use the early slot...
 	g.AddEdge(0, 1) // ...or the late one
 	g.AddEdge(1, 1) // request 1 only the late one
-	m := LexMax(g, []int32{0, 1})
+	m := NewMatching(2, 2)
+	var sc Scratch
+	sc.ExtendFromRight(g, m, []int{0, 1})
 	fmt.Println(m.L2R[0], m.L2R[1])
 	// Output: 0 1
+}
+
+// Pairs returns the matched (left, right) pairs in ascending left order.
+func (m *Matching) Pairs() [][2]int {
+	var ps [][2]int
+	for l, r := range m.L2R {
+		if r != None {
+			ps = append(ps, [2]int{l, int(r)})
+		}
+	}
+	return ps
 }

@@ -26,13 +26,11 @@ func lexCompare(a, b []int) int {
 	return 0
 }
 
-func padTo(v []int, n int) []int {
-	for len(v) < n {
-		v = append(v, 0)
-	}
-	return v
-}
-
+// TestLexMaxMatchesBruteForce checks the greedy the balance routers run: one
+// Scratch.ExtendFromRight pass from an empty matching over the rights in
+// (class, index) order reaches the maximum size and the lexicographically
+// maximal class vector that exhaustive search finds. The routers' own slot
+// order is checked to be (class, index)-sorted in internal/strategies.
 func TestLexMaxMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 300; trial++ {
@@ -42,7 +40,7 @@ func TestLexMaxMatchesBruteForce(t *testing.T) {
 		g := randomGraph(rng, nl, nr, 0.35)
 		classOf := randomClasses(rng, nr, nClasses)
 
-		got := LexMax(g, classOf)
+		got := lexMax(g, classOf)
 		if err := Verify(g, got); err != nil {
 			t.Fatal(err)
 		}
@@ -50,8 +48,8 @@ func TestLexMaxMatchesBruteForce(t *testing.T) {
 		if got.Size() != want.Size() {
 			t.Fatalf("trial %d: size %d != brute %d", trial, got.Size(), want.Size())
 		}
-		gv := padTo(ClassCounts(got, classOf), nClasses)
-		wv := padTo(ClassCounts(want, classOf), nClasses)
+		gv := classCounts(got, classOf, nClasses)
+		wv := classCounts(want, classOf, nClasses)
 		if lexCompare(gv, wv) != 0 {
 			t.Fatalf("trial %d: class vector %v != brute %v", trial, gv, wv)
 		}
@@ -63,8 +61,8 @@ func TestLexMaxIsMaximumCardinality(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 25, 25, 0.15)
 		classOf := randomClasses(rng, 25, 5)
-		if LexMax(g, classOf).Size() != MaxMatchingByFlow(g) {
-			t.Fatalf("trial %d: LexMax not maximum", trial)
+		if lexMax(g, classOf).Size() != MaxMatchingByFlow(g) {
+			t.Fatalf("trial %d: slot greedy not maximum", trial)
 		}
 	}
 }
@@ -81,7 +79,7 @@ func TestLexMaxExtendPreservesMatchedRights(t *testing.T) {
 				matchedR[r] = true
 			}
 		}
-		LexMaxExtend(g, m, classOf)
+		new(Scratch).ExtendFromRight(g, m, classOrder(classOf))
 		for r := range matchedR {
 			if m.R2L[r] == None {
 				t.Fatalf("trial %d: extension freed right %d", trial, r)
@@ -108,9 +106,9 @@ func TestCoverLeftRestoresCoverage(t *testing.T) {
 			}
 		}
 		classOf := randomClasses(rng, nr, 3)
-		m := LexMax(g, classOf)
+		m := lexMax(g, classOf)
 		beforeSize := m.Size()
-		beforeVec := ClassCounts(m, classOf)
+		beforeVec := classCounts(m, classOf, 3)
 
 		CoverLeft(g, m, cover)
 
@@ -120,8 +118,8 @@ func TestCoverLeftRestoresCoverage(t *testing.T) {
 		if m.Size() != beforeSize {
 			t.Fatalf("trial %d: CoverLeft changed size %d -> %d", trial, beforeSize, m.Size())
 		}
-		afterVec := ClassCounts(m, classOf)
-		if lexCompare(padTo(beforeVec, 3), padTo(afterVec, 3)) != 0 {
+		afterVec := classCounts(m, classOf, 3)
+		if lexCompare(beforeVec, afterVec) != 0 {
 			t.Fatalf("trial %d: CoverLeft changed slot classes %v -> %v", trial, beforeVec, afterVec)
 		}
 		for l := 0; l < nl; l++ {
@@ -141,27 +139,5 @@ func TestCoverLeftNoopWhenAlreadyCovered(t *testing.T) {
 	CoverLeft(g, m, cover)
 	if m.L2R[0] != 0 || m.L2R[1] != 1 {
 		t.Fatalf("noop cover changed matching: %v", m.L2R)
-	}
-}
-
-func TestRightsByClassStableCountingSort(t *testing.T) {
-	classOf := []int32{2, 0, 1, 0, 2, 1}
-	got := rightsByClass(classOf)
-	want := []int{1, 3, 2, 5, 0, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v want %v", got, want)
-		}
-	}
-}
-
-func TestClassCounts(t *testing.T) {
-	m := NewMatching(3, 4)
-	m.Match(0, 0)
-	m.Match(1, 3)
-	classOf := []int32{0, 0, 1, 1}
-	counts := ClassCounts(m, classOf)
-	if counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("counts %v", counts)
 	}
 }

@@ -1,12 +1,12 @@
 package matching
 
-// CostFlowNetwork is a min-cost max-flow network solved by successive
-// shortest augmenting paths (Bellman–Ford/SPFA, which tolerates the negative
-// reduced costs that appear with zero initial potentials). It provides an
-// independent weighted cross-check for the lexicographic matching objective:
-// encoding class weights as costs and solving MCMF must reproduce the class
-// counts of the matroid greedy (validated in tests on small instances where
-// the weights fit in int64).
+// CostFlowNetwork is a min-cost flow network solved by successive shortest
+// augmenting paths (Bellman–Ford/SPFA, which tolerates the negative reduced
+// costs that appear with zero initial potentials). It backs the monolithic
+// weighted optima, MinCostMatchingLR and MaxProfitMatching. Tests also use it
+// as an independent check of the slot greedy: class weights encoded as costs
+// must reproduce the greedy's class counts on instances where the weights fit
+// in int64.
 type CostFlowNetwork struct {
 	n    int
 	head []int32
@@ -46,10 +46,10 @@ func (f *CostFlowNetwork) AddEdge(u, v, capacity int, cost int64) int {
 // Flow returns the flow currently on edge id.
 func (f *CostFlowNetwork) Flow(id int) int { return int(f.cap[id^1]) }
 
-// MinCostMaxFlow pushes as much flow as possible from s to t, always along a
+// minCostMaxFlow pushes as much flow as possible from s to t, always along a
 // minimum-cost augmenting path, and returns (flow, cost). With integral
 // capacities the result is the minimum-cost maximum flow.
-func (f *CostFlowNetwork) MinCostMaxFlow(s, t int) (flow int, cost int64) {
+func (f *CostFlowNetwork) minCostMaxFlow(s, t int) (flow int, cost int64) {
 	const inf64 = int64(1) << 62
 	dist := make([]int64, f.n)
 	inQueue := make([]bool, f.n)
@@ -102,21 +102,14 @@ func (f *CostFlowNetwork) MinCostMaxFlow(s, t int) (flow int, cost int64) {
 	}
 }
 
-// MinCostMatching computes a maximum matching of g minimizing the total cost
-// of matched right vertices, where rightCost[r] is the cost of covering right
-// vertex r. Returns the matching. Because all max flows have the same value,
-// the solver maximizes cardinality first and minimizes cost second — exactly
-// the "among maximum matchings prefer cheap slots" shape the strategies need.
-func MinCostMatching(g *Graph, rightCost []int64) *Matching {
-	return MinCostMatchingLR(g, nil, rightCost)
-}
-
-// MinCostMatchingLR generalizes MinCostMatching to costs on both sides: among
-// maximum matchings it minimizes the sum of leftCost[l] + rightCost[r] over
-// matched pairs (l, r). A nil leftCost means all zeros. Left costs may be
-// negative (the initial residual network is acyclic, so successive shortest
-// paths remain correct); this is what lets the min-latency objective charge
-// each pair its true latency t − arrive instead of the slot round alone.
+// MinCostMatchingLR computes a maximum matching of g minimizing the sum of
+// leftCost[l] + rightCost[r] over matched pairs (l, r). A nil leftCost means
+// all zeros. Because all max flows have the same value, the solver maximizes
+// cardinality first and minimizes cost second — the "among maximum matchings
+// prefer cheap slots" shape. Left costs may be negative (the initial
+// residual network is acyclic, so successive shortest paths remain correct);
+// this is what lets the min-latency objective charge each pair its true
+// latency t − arrive instead of the slot round alone.
 func MinCostMatchingLR(g *Graph, leftCost, rightCost []int64) *Matching {
 	nl, nr := g.NLeft(), g.NRight()
 	s := nl + nr
@@ -137,7 +130,7 @@ func MinCostMatchingLR(g *Graph, leftCost, rightCost []int64) *Matching {
 	for r := 0; r < nr; r++ {
 		f.AddEdge(nl+r, t, 1, rightCost[r])
 	}
-	f.MinCostMaxFlow(s, t)
+	f.minCostMaxFlow(s, t)
 	m := NewMatching(nl, nr)
 	for l := 0; l < nl; l++ {
 		for i, r := range g.Adj(l) {

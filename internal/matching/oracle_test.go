@@ -50,10 +50,6 @@ func refExtendFromRight(g *Graph, m *Matching, order []int) int {
 	return gained
 }
 
-func refLexMaxExtend(g *Graph, m *Matching, classOf []int32) int {
-	return refExtendFromRight(g, m, rightsByClass(classOf))
-}
-
 func (a *refAugmenter) augmentFromLeft(m *Matching, l int) bool {
 	a.stamp++
 	return a.dfsLeft(m, int32(l))

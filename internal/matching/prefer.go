@@ -17,15 +17,12 @@ package matching
 //
 // Cardinality, the covered set of class vertices, and the per-class coverage
 // counts are all preserved; matched left vertices stay matched (so previously
-// scheduled requests remain scheduled). Returns the number of swaps.
-func PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
-	a := &avoidDFS{g: g, m: m, classOf: classOf, avoid: class, seenR: make([]int, g.NRight())}
-	return preferLowAtClass(g, m, classOf, class, a)
-}
-
-// preferLowAtClass is the exchange loop shared by PreferLowAtClass and
-// Scratch.PreferLowAtClass; a carries the (possibly reused) search marks.
-func preferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32, a *avoidDFS) int {
+// scheduled requests remain scheduled). Returns the number of swaps. The
+// relocation marks live in sc and are reused across calls.
+func (sc *Scratch) PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
+	a := &sc.prefer
+	a.g, a.m, a.classOf, a.avoid = g, m, classOf, class
+	a.seenR = ensureLen(a.seenR, g.NRight())
 	swaps := 0
 	for l := 0; l < g.NLeft(); l++ {
 		cur := m.L2R[l]

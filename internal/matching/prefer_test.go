@@ -17,7 +17,7 @@ func TestPreferLowAtClassBasicSwap(t *testing.T) {
 	m := NewMatching(2, 2)
 	m.Match(0, 1)
 	m.Match(1, 0)
-	swaps := PreferLowAtClass(g, m, classOf, 0)
+	swaps := new(Scratch).PreferLowAtClass(g, m, classOf, 0)
 	if swaps != 1 {
 		t.Fatalf("swaps = %d", swaps)
 	}
@@ -37,7 +37,7 @@ func TestPreferLowAtClassRevertsWhenOccupantStuck(t *testing.T) {
 	m := NewMatching(2, 2)
 	m.Match(0, 1)
 	m.Match(1, 0)
-	if swaps := PreferLowAtClass(g, m, classOf, 0); swaps != 0 {
+	if swaps := new(Scratch).PreferLowAtClass(g, m, classOf, 0); swaps != 0 {
 		t.Fatalf("swaps = %d", swaps)
 	}
 	if m.L2R[0] != 1 || m.L2R[1] != 0 {
@@ -56,7 +56,7 @@ func TestPreferLowAtClassOlderOccupantKept(t *testing.T) {
 	m := NewMatching(2, 2)
 	m.Match(0, 0)
 	m.Match(1, 1)
-	if swaps := PreferLowAtClass(g, m, classOf, 0); swaps != 0 {
+	if swaps := new(Scratch).PreferLowAtClass(g, m, classOf, 0); swaps != 0 {
 		t.Fatalf("swaps = %d", swaps)
 	}
 	if m.L2R[0] != 0 {
@@ -80,11 +80,11 @@ func TestPreferLowAtClassClassNeutralRelocation(t *testing.T) {
 	m := NewMatching(2, 4)
 	m.Match(0, 1)
 	m.Match(1, 0)
-	before := ClassCounts(m, classOf)
-	if PreferLowAtClass(g, m, classOf, 0) != 1 {
+	before := classCounts(m, classOf, 3)
+	if new(Scratch).PreferLowAtClass(g, m, classOf, 0) != 1 {
 		t.Fatal("expected a swap")
 	}
-	after := ClassCounts(m, classOf)
+	after := classCounts(m, classOf, 3)
 	for c := range before {
 		if before[c] != after[c] {
 			t.Fatalf("class counts changed: %v -> %v", before, after)
@@ -111,7 +111,7 @@ func TestPreferLowAtClassChainRelocation(t *testing.T) {
 	m.Match(2, 2)
 	// Left 2 at slot 2 already; occupant 1 relocates: slot 1 is taken by 0
 	// after 0 moves... Run and verify integrity + oldest-first.
-	if PreferLowAtClass(g, m, classOf, 0) != 1 {
+	if new(Scratch).PreferLowAtClass(g, m, classOf, 0) != 1 {
 		t.Fatalf("expected a swap, got matching %v", m.L2R)
 	}
 	if err := Verify(g, m); err != nil {
@@ -133,9 +133,9 @@ func TestPreferLowAtClassPreservesInvariantsRandom(t *testing.T) {
 		nClasses := 1 + rng.Intn(4)
 		g := randomGraph(rng, nl, nr, 0.35)
 		classOf := randomClasses(rng, nr, nClasses)
-		m := LexMax(g, classOf)
+		m := lexMax(g, classOf)
 		size := m.Size()
-		before := padTo(ClassCounts(m, classOf), nClasses)
+		before := classCounts(m, classOf, nClasses)
 		matchedBefore := map[int]bool{}
 		for l, r := range m.L2R {
 			if r != None {
@@ -143,7 +143,7 @@ func TestPreferLowAtClassPreservesInvariantsRandom(t *testing.T) {
 			}
 		}
 
-		PreferLowAtClass(g, m, classOf, 0)
+		new(Scratch).PreferLowAtClass(g, m, classOf, 0)
 
 		if err := Verify(g, m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -151,7 +151,7 @@ func TestPreferLowAtClassPreservesInvariantsRandom(t *testing.T) {
 		if m.Size() != size {
 			t.Fatalf("trial %d: size changed %d -> %d", trial, size, m.Size())
 		}
-		after := padTo(ClassCounts(m, classOf), nClasses)
+		after := classCounts(m, classOf, nClasses)
 		if lexCompare(before, after) != 0 {
 			t.Fatalf("trial %d: class counts changed %v -> %v", trial, before, after)
 		}
@@ -163,7 +163,7 @@ func TestPreferLowAtClassPreservesInvariantsRandom(t *testing.T) {
 		// Oldest-first local optimality: no left can claim a class-0 seat
 		// from a strictly younger occupant anymore (running again changes
 		// nothing).
-		if PreferLowAtClass(g, m, classOf, 0) != 0 {
+		if new(Scratch).PreferLowAtClass(g, m, classOf, 0) != 0 {
 			t.Fatalf("trial %d: not a fixpoint", trial)
 		}
 	}

@@ -94,27 +94,3 @@ func (f *CostFlowNetwork) minCostFlowWhileNegative(s, t int) {
 		}
 	}
 }
-
-// BruteMaxProfit is the exponential reference: the maximum achievable total
-// profit over all matchings.
-func BruteMaxProfit(g *Graph, profit []int64) int64 {
-	usedR := make([]bool, g.NRight())
-	var rec func(l int) int64
-	rec = func(l int) int64 {
-		if l == g.NLeft() {
-			return 0
-		}
-		best := rec(l + 1)
-		for _, r := range g.Adj(l) {
-			if !usedR[r] {
-				usedR[r] = true
-				if v := profit[l] + rec(l+1); v > best {
-					best = v
-				}
-				usedR[r] = false
-			}
-		}
-		return best
-	}
-	return rec(0)
-}

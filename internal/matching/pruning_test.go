@@ -133,8 +133,8 @@ func sameMatching(t *testing.T, what string, got, want *Matching, gotGain, wantG
 	}
 }
 
-// checkPruneCase runs every pruned entry point (free function and the given
-// reused Scratch) against the unpruned oracle on c.
+// checkPruneCase runs every pruned entry point (on a fresh Scratch and on
+// the given reused one) against the unpruned oracle on c.
 func checkPruneCase(t *testing.T, sc *Scratch, c pruneCase) {
 	t.Helper()
 	want := refKuhn(c.g)
@@ -146,26 +146,26 @@ func checkPruneCase(t *testing.T, sc *Scratch, c pruneCase) {
 
 	type extend func(*Matching) int
 	for _, op := range []struct {
-		name               string
-		ref, free, scratch extend
+		name                string
+		ref, fresh, scratch extend
 	}{
 		{"ExtendFromLeft",
 			func(m *Matching) int { return refExtendFromLeft(c.g, m, c.leftOrder) },
-			func(m *Matching) int { return ExtendFromLeft(c.g, m, c.leftOrder) },
+			func(m *Matching) int { return new(Scratch).ExtendFromLeft(c.g, m, c.leftOrder) },
 			func(m *Matching) int { return sc.ExtendFromLeft(c.g, m, c.leftOrder) }},
 		{"ExtendFromRight",
 			func(m *Matching) int { return refExtendFromRight(c.g, m, c.rightOrder) },
-			func(m *Matching) int { return ExtendFromRight(c.g, m, c.rightOrder) },
+			func(m *Matching) int { return new(Scratch).ExtendFromRight(c.g, m, c.rightOrder) },
 			func(m *Matching) int { return sc.ExtendFromRight(c.g, m, c.rightOrder) }},
-		{"LexMaxExtend",
-			func(m *Matching) int { return refLexMaxExtend(c.g, m, c.classOf) },
-			func(m *Matching) int { return LexMaxExtend(c.g, m, c.classOf) },
-			func(m *Matching) int { return sc.ExtendFromRight(c.g, m, rightsByClass(c.classOf)) }},
+		{"ExtendFromRight/classOrder",
+			func(m *Matching) int { return refExtendFromRight(c.g, m, classOrder(c.classOf)) },
+			func(m *Matching) int { return new(Scratch).ExtendFromRight(c.g, m, classOrder(c.classOf)) },
+			func(m *Matching) int { return sc.ExtendFromRight(c.g, m, classOrder(c.classOf)) }},
 	} {
 		want := c.start.Clone()
 		wantGain := op.ref(want)
 		got := c.start.Clone()
-		sameMatching(t, op.name, got, want, op.free(got), wantGain)
+		sameMatching(t, op.name, got, want, op.fresh(got), wantGain)
 		got = c.start.Clone()
 		sameMatching(t, "Scratch."+op.name, got, want, op.scratch(got), wantGain)
 	}

@@ -6,10 +6,7 @@ package matching
 // no per-round allocation. The zero value is ready to use; buffers grow
 // monotonically to the largest graph seen. A Scratch is not safe for
 // concurrent use — give each goroutine (or each strategy instance) its own.
-//
-// Every method is the exact algorithm of the corresponding package-level
-// function; results are bit-for-bit identical, only the buffer lifetimes
-// differ. The free functions delegate to a throwaway Scratch.
+// Results depend only on the inputs, never on what the Scratch saw before.
 type Scratch struct {
 	aug    augmenter
 	prefer avoidDFS // PreferLowAtClass relocation search and its marks
@@ -38,7 +35,12 @@ func (sc *Scratch) Work() Work {
 	}
 }
 
-// ExtendFromLeft is ExtendFromLeft with reused search buffers.
+// ExtendFromLeft augments m from each listed free left vertex in the given
+// order. Left vertices that are already matched are skipped. It returns the
+// number of successful augmentations. Matched vertices are never unmatched by
+// augmentation, so any "already scheduled" invariant is preserved. Searches
+// skip regions an earlier failed search of the call proved saturated (see
+// augmenter); the matching is the one the unpruned search order reaches.
 func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
 	sc.aug.beginPass(len(order))
@@ -65,7 +67,18 @@ func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 	return gained
 }
 
-// ExtendFromRight is ExtendFromRight with reused search buffers.
+// ExtendFromRight augments m from each listed free right vertex in the given
+// order, exploring left neighbors in adjacency order. It is the weight-class
+// (transversal matroid) greedy of the balance routers: processing right
+// vertices in descending weight order yields a maximum matching whose
+// matched right set has maximum weight.
+//
+// Once a search from a free right fails, every left it visited is matched
+// into the rights it visited, so no later search of the call can augment
+// through them; they are skipped from then on (see augmenter). Under load
+// most slot searches fail, so this turns the k failed searches into a
+// saturated component of size s from O(k·s) visits into O(k + s), and the
+// resulting matching is bit-identical to the unpruned search.
 func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
 	sc.aug.bind(g)
 	sc.aug.beginPass(len(order))
@@ -89,12 +102,4 @@ func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
 	}
 	sc.aug.endPass()
 	return gained
-}
-
-// PreferLowAtClass is PreferLowAtClass with reused relocation marks.
-func (sc *Scratch) PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
-	a := &sc.prefer
-	a.g, a.m, a.classOf, a.avoid = g, m, classOf, class
-	a.seenR = ensureLen(a.seenR, g.NRight())
-	return preferLowAtClass(g, m, classOf, class, a)
 }

@@ -1,8 +1,6 @@
 package offline
 
 import (
-	"fmt"
-
 	"reqsched/internal/core"
 	"reqsched/internal/matching"
 )
@@ -16,12 +14,12 @@ import (
 // of order at least 3" for A_eager. AugmentingOrders makes those statements
 // checkable on real executions.
 
-// LogMatching converts a fulfillment log into a matching on the trace's full
+// logMatching converts a fulfillment log into a matching on the trace's full
 // request/slot graph (BuildGraph). Each fulfillment takes the next free
 // capacity unit of its resource in the epoch of its round: an engine
 // schedule starts at most Cap services per resource per epoch (see the
 // epoch relaxation above BuildGraph), so the units map injectively.
-func LogMatching(tr *core.Trace, log []core.Fulfillment) *matching.Matching {
+func logMatching(tr *core.Trace, log []core.Fulfillment) *matching.Matching {
 	sm := tr.Model.Norm()
 	epochs := epochCount(tr, sm.Hold)
 	m := matching.NewMatching(tr.NumRequests(), epochs*tr.N*sm.Cap)
@@ -41,7 +39,7 @@ func LogMatching(tr *core.Trace, log []core.Fulfillment) *matching.Matching {
 // online algorithm against this optimum equals the total number of
 // augmenting paths (sum over the histogram).
 func AugmentingOrders(tr *core.Trace, log []core.Fulfillment) map[int]int {
-	alg := LogMatching(tr, log)
+	alg := logMatching(tr, log)
 	opt, _ := OptimumMatching(tr)
 	comps := matching.SymmetricDifference(alg, opt)
 	orders := make(map[int]int)
@@ -59,37 +57,4 @@ func AugmentingOrders(tr *core.Trace, log []core.Fulfillment) map[int]int {
 		orders[requests]++
 	}
 	return orders
-}
-
-// MinAugmentingOrder returns the smallest order in the histogram, or 0 when
-// the online schedule is optimal (no augmenting paths at all).
-func MinAugmentingOrder(orders map[int]int) int {
-	min := 0
-	for k, v := range orders {
-		if v > 0 && (min == 0 || k < min) {
-			min = k
-		}
-	}
-	return min
-}
-
-// TotalAugmenting sums the histogram: exactly OPT - ALG.
-func TotalAugmenting(orders map[int]int) int {
-	total := 0
-	for _, v := range orders {
-		total += v
-	}
-	return total
-}
-
-// CheckOrderAtLeast verifies the structural claim of an upper-bound proof:
-// every augmenting path against the optimum has at least minOrder requests.
-// Returns an error naming the violating order otherwise.
-func CheckOrderAtLeast(tr *core.Trace, log []core.Fulfillment, minOrder int) error {
-	orders := AugmentingOrders(tr, log)
-	if m := MinAugmentingOrder(orders); m != 0 && m < minOrder {
-		return fmt.Errorf("offline: augmenting path of order %d exists (want >= %d); histogram %v",
-			m, minOrder, orders)
-	}
-	return nil
 }

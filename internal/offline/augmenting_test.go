@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestAugmentingTotalsEqualLoss(t *testing.T) {
 		for _, s := range []core.Strategy{strategies.NewFix(), strategies.NewEager()} {
 			res := core.Run(s, tr)
 			orders := AugmentingOrders(tr, res.Log)
-			if got := TotalAugmenting(orders); got != opt-res.Fulfilled {
+			if got := totalAugmenting(orders); got != opt-res.Fulfilled {
 				t.Fatalf("trial %d %s: %d augmenting paths but loss is %d-%d",
 					trial, s.Name(), got, opt, res.Fulfilled)
 			}
@@ -36,7 +37,7 @@ func TestFixFamilyHasNoOrderOnePaths(t *testing.T) {
 			strategies.NewCurrent(), strategies.NewFirstFit(),
 		} {
 			res := core.Run(s, tr)
-			if err := CheckOrderAtLeast(tr, res.Log, 2); err != nil {
+			if err := checkOrderAtLeast(tr, res.Log, 2); err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name(), seed, err)
 			}
 		}
@@ -51,7 +52,7 @@ func TestEagerFamilyHasNoOrderTwoPaths(t *testing.T) {
 		tr := workload.Uniform(workload.Config{N: 5, D: 4, Rounds: 30, Rate: 9, Seed: seed})
 		for _, s := range []core.Strategy{strategies.NewEager(), strategies.NewBalance()} {
 			res := core.Run(s, tr)
-			if err := CheckOrderAtLeast(tr, res.Log, 3); err != nil {
+			if err := checkOrderAtLeast(tr, res.Log, 3); err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name(), seed, err)
 			}
 		}
@@ -84,23 +85,23 @@ func TestEagerOrderClaimOnAdversarialInput(t *testing.T) {
 	}
 	tr := b.Build()
 	res := core.Run(strategies.NewEager(), tr)
-	if err := CheckOrderAtLeast(tr, res.Log, 3); err != nil {
+	if err := checkOrderAtLeast(tr, res.Log, 3); err != nil {
 		t.Fatal(err)
 	}
 	orders := AugmentingOrders(tr, res.Log)
-	if TotalAugmenting(orders) == 0 {
+	if totalAugmenting(orders) == 0 {
 		t.Fatal("expected losses on the adversarial trace")
 	}
 }
 
 func TestMinAugmentingOrderHelpers(t *testing.T) {
-	if MinAugmentingOrder(map[int]int{}) != 0 {
+	if minAugmentingOrder(map[int]int{}) != 0 {
 		t.Fatal("empty histogram should report 0")
 	}
-	if MinAugmentingOrder(map[int]int{3: 1, 2: 0, 5: 4}) != 3 {
+	if minAugmentingOrder(map[int]int{3: 1, 2: 0, 5: 4}) != 3 {
 		t.Fatal("zero-count entries must be ignored")
 	}
-	if TotalAugmenting(map[int]int{2: 3, 4: 1}) != 4 {
+	if totalAugmenting(map[int]int{2: 3, 4: 1}) != 4 {
 		t.Fatal("total wrong")
 	}
 }
@@ -111,7 +112,7 @@ func TestLogMatchingRoundTrip(t *testing.T) {
 	b.Add(0, 1, 0)
 	tr := b.Build()
 	res := core.Run(strategies.NewBalance(), tr)
-	m := LogMatching(tr, res.Log)
+	m := logMatching(tr, res.Log)
 	if m.Size() != res.Fulfilled {
 		t.Fatalf("matching size %d != fulfilled %d", m.Size(), res.Fulfilled)
 	}
@@ -128,9 +129,42 @@ func TestAugmentingTotalsEqualLossUnderModels(t *testing.T) {
 			tr := workload.Reusable(workload.Config{N: 6, D: 5, Rounds: 80, Seed: 12}, m, 0.9)
 			res := core.Run(strategies.NewFirstFit(), tr)
 			opt := Optimum(tr)
-			if got := TotalAugmenting(AugmentingOrders(tr, res.Log)); got != opt-res.Fulfilled {
+			if got := totalAugmenting(AugmentingOrders(tr, res.Log)); got != opt-res.Fulfilled {
 				t.Errorf("%s: %d augmenting paths but loss is %d-%d", m, got, opt, res.Fulfilled)
 			}
 		}
 	}
+}
+
+// minAugmentingOrder returns the smallest order in the histogram, or 0 when
+// the online schedule is optimal (no augmenting paths at all).
+func minAugmentingOrder(orders map[int]int) int {
+	min := 0
+	for k, v := range orders {
+		if v > 0 && (min == 0 || k < min) {
+			min = k
+		}
+	}
+	return min
+}
+
+// totalAugmenting sums the histogram: exactly OPT - ALG.
+func totalAugmenting(orders map[int]int) int {
+	total := 0
+	for _, v := range orders {
+		total += v
+	}
+	return total
+}
+
+// checkOrderAtLeast verifies the structural claim of an upper-bound proof:
+// every augmenting path against the optimum has at least minOrder requests.
+// Returns an error naming the violating order otherwise.
+func checkOrderAtLeast(tr *core.Trace, log []core.Fulfillment, minOrder int) error {
+	orders := AugmentingOrders(tr, log)
+	if m := minAugmentingOrder(orders); m != 0 && m < minOrder {
+		return fmt.Errorf("offline: augmenting path of order %d exists (want >= %d); histogram %v",
+			m, minOrder, orders)
+	}
+	return nil
 }

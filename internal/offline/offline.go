@@ -14,9 +14,6 @@ import (
 // model; see epochSlot for the general form).
 func SlotIndex(n, res, t int) int { return t*n + res }
 
-// SlotOf inverts SlotIndex.
-func SlotOf(n, idx int) (res, t int) { return idx % n, idx / n }
-
 // Offline optima under a general core.ServiceModel are computed in the *epoch
 // relaxation*: time is cut into epochs of Hold rounds, each (epoch, resource)
 // pair carries Cap capacity-unit slots, and a request is admissible in every

@@ -118,8 +118,8 @@ func TestSlotIndexRoundTrip(t *testing.T) {
 		nn := int(n%7) + 1
 		r := int(res) % nn
 		tm := int(tt)
-		gotRes, gotT := SlotOf(nn, SlotIndex(nn, r, tm))
-		return gotRes == r && gotT == tm
+		idx := SlotIndex(nn, r, tm)
+		return idx%nn == r && idx/nn == tm
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -97,22 +97,3 @@ func OverloadedSets(tr *core.Trace, log []core.Fulfillment) []Overload {
 	}
 	return out
 }
-
-// LastSlotUsedByCohort reports, for an overload at round t, whether every
-// resource of S serves a round-t request in its last window slot t+d-1 —
-// claim (1) of the Theorem 3.3 proof for A_fix. d is the uniform window of
-// the failed requests' cohort (the claim is stated for uniform windows).
-func LastSlotUsedByCohort(tr *core.Trace, log []core.Fulfillment, ov Overload, d int) bool {
-	type slot = [2]int
-	bySlot := make(map[slot]*core.Request)
-	for i := range log {
-		bySlot[slot{log[i].Res, log[i].Round}] = log[i].Req
-	}
-	for _, res := range ov.Resources {
-		r := bySlot[slot{res, ov.Round + d - 1}]
-		if r == nil || r.Arrive != ov.Round {
-			return false
-		}
-	}
-	return true
-}

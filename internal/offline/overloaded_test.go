@@ -75,7 +75,7 @@ func TestTheorem33ClaimsOnAFix(t *testing.T) {
 		capacity := 0
 		failed := 0
 		for _, ov := range ovs {
-			if !LastSlotUsedByCohort(tr, res.Log, ov, tr.D) {
+			if !lastSlotUsedByCohort(tr, res.Log, ov, tr.D) {
 				t.Fatalf("seed %d round %d: overloaded resource idle in last cohort slot",
 					seed, ov.Round)
 			}
@@ -116,7 +116,7 @@ func TestTheorem33ClaimsOnAdversarialTrace(t *testing.T) {
 		t.Fatal("adversarial trace produced no overloads")
 	}
 	for _, ov := range ovs {
-		if !LastSlotUsedByCohort(tr, res.Log, ov, d) {
+		if !lastSlotUsedByCohort(tr, res.Log, ov, d) {
 			t.Fatalf("round %d: claim (1) violated", ov.Round)
 		}
 		// The failed requests are block requests on (S2, S3) = {1, 2}.
@@ -129,4 +129,23 @@ func TestTheorem33ClaimsOnAdversarialTrace(t *testing.T) {
 			t.Fatalf("round %d: %d failed, want %d", ov.Round, len(ov.Failed), 2*d-2)
 		}
 	}
+}
+
+// lastSlotUsedByCohort reports, for an overload at round t, whether every
+// resource of S serves a round-t request in its last window slot t+d-1 —
+// claim (1) of the Theorem 3.3 proof for A_fix. d is the uniform window of
+// the failed requests' cohort (the claim is stated for uniform windows).
+func lastSlotUsedByCohort(tr *core.Trace, log []core.Fulfillment, ov Overload, d int) bool {
+	type slot = [2]int
+	bySlot := make(map[slot]*core.Request)
+	for i := range log {
+		bySlot[slot{log[i].Res, log[i].Round}] = log[i].Req
+	}
+	for _, res := range ov.Resources {
+		r := bySlot[slot{res, ov.Round + d - 1}]
+		if r == nil || r.Arrive != ov.Round {
+			return false
+		}
+	}
+	return true
 }

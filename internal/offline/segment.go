@@ -33,7 +33,7 @@ type Segment struct {
 // boundary no request's deadline window crosses, epoch-aligned under hold >
 // 1. Arrivals are stored in round order, so one pass finds all clean cuts in
 // O(requests + horizon). Traces with permanently overlapping windows yield a
-// single segment; Segments then falls back to Components.
+// single segment; Segments then falls back to components.
 func SegmentTrace(tr *core.Trace) []Segment {
 	cut := core.NewSegmenter(tr.Model)
 	var segs []Segment
@@ -63,7 +63,7 @@ func SegmentTrace(tr *core.Trace) []Segment {
 	return segs
 }
 
-// Components decomposes tr into the connected components of its request/slot
+// components decomposes tr into the connected components of its request/slot
 // graph with a union-find over slots — the exact decomposition even when
 // deadline windows overlap everywhere and no clean time cut exists (e.g.
 // resource-disjoint request populations). The union-find runs over (epoch,
@@ -72,7 +72,7 @@ func SegmentTrace(tr *core.Trace) []Segment {
 // components. Components are returned in order of their lowest request ID;
 // each component's Lo/Hi bound its requests' windows, though components may
 // overlap in time.
-func Components(tr *core.Trace) []Segment {
+func components(tr *core.Trace) []Segment {
 	n := tr.N
 	hold := tr.Model.Norm().Hold
 	parent := make([]int32, epochCount(tr, hold)*n)
@@ -300,7 +300,7 @@ func (ss *segSolver) minLatency(sp space, seg Segment, log []core.Fulfillment) (
 func Segments(tr *core.Trace) []Segment {
 	segs := SegmentTrace(tr)
 	if len(segs) <= 1 {
-		segs = Components(tr)
+		segs = components(tr)
 	}
 	return segs
 }

@@ -141,7 +141,7 @@ func TestComponentsSplitsResourceDisjointPopulations(t *testing.T) {
 	if segs := SegmentTrace(tr); len(segs) != 1 {
 		t.Fatalf("expected one time segment, got %d", len(segs))
 	}
-	comps := Components(tr)
+	comps := components(tr)
 	if len(comps) != 2 {
 		t.Fatalf("expected 2 components, got %d", len(comps))
 	}
@@ -210,7 +210,7 @@ func TestComponentsMatchSegmentsOnGappedTraces(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		tr := gappedTrace(rng, 3, 2, 3, 4)
 		want := optimumByFlow(tr)
-		if got := sumOver(tr, Components(tr), 3); got != want {
+		if got := sumOver(tr, components(tr), 3); got != want {
 			t.Fatalf("trial %d: components sum %d, flow %d", trial, got, want)
 		}
 		if got := sumOver(tr, SegmentTrace(tr), 3); got != want {

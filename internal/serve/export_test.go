@@ -1,6 +1,10 @@
 package serve
 
-import "net/http"
+import (
+	"net/http"
+
+	"reqsched/internal/core"
+)
 
 // MaxLineBytes exposes the ingest line cap to the external tests.
 const MaxLineBytes = maxLineBytes
@@ -13,4 +17,11 @@ const MaxRoundJump = maxRoundJump
 // pooled state: the reference a reused pooled batch and reader must match.
 func (s *Server) IngestFresh(w http.ResponseWriter, r *http.Request) {
 	s.ingest(w, r, newIngestBatch())
+}
+
+// FinalResult returns the engine result after Drain (nil before).
+func (s *Server) FinalResult() *core.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.final
 }

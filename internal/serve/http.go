@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"reqsched/internal/core"
+	"reqsched/internal/ratio"
 	"reqsched/internal/trace"
 )
 
@@ -372,7 +373,7 @@ func writePrometheus(w io.Writer, m Metrics) {
 	g("reqsched_segments_solved_total", m.Rolling.Solved, "Segments whose offline optimum is folded in.")
 	g("reqsched_rolling_opt_total", m.Rolling.Opt, "Offline optimum over solved segments.")
 	g("reqsched_rolling_alg_total", m.Rolling.Alg, "Strategy fulfillments over solved segments.")
-	g("reqsched_rolling_competitive_ratio", formatFloat(ratioOf(m.Rolling.Opt, m.Rolling.Alg)), "OPT/ALG over solved segments (+Inf when starved).")
+	g("reqsched_rolling_competitive_ratio", formatFloat(ratio.Measurement{OPT: m.Rolling.Opt, ALG: m.Rolling.Alg}.Ratio()), "OPT/ALG over solved segments (+Inf when starved).")
 	b := 0
 	if m.Draining {
 		b = 1

@@ -13,7 +13,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -418,13 +417,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 }
 
-// FinalResult returns the engine result after Drain (nil before).
-func (s *Server) FinalResult() *core.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.final
-}
-
 // Metrics is a point-in-time snapshot of the daemon's counters.
 type Metrics struct {
 	Strategy string `json:"strategy"`
@@ -536,20 +528,8 @@ func (s *Server) metricsLocked() Metrics {
 		Alg:    s.alg,
 		Closed: s.closed,
 		Solved: s.solved,
-		Ratio:  ratio.FormatRatio(ratioOf(s.opt, s.alg), 4),
+		Ratio:  ratio.FormatRatio(ratio.Measurement{OPT: s.opt, ALG: s.alg}.Ratio(), 4),
 	}
 	s.ratMu.Unlock()
 	return m
-}
-
-// ratioOf mirrors the convention of the batch tools: 1 when nothing was
-// demanded, +Inf when the strategy starved while OPT served.
-func ratioOf(opt, alg int) float64 {
-	if alg == 0 {
-		if opt == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return float64(opt) / float64(alg)
 }

@@ -161,7 +161,7 @@ func (sc *roundScratch) emptyMatching() *matching.Matching {
 // Slot class = rounds from now, so class 0 (the current round) is the most
 // preferred; maxClass caps the classes (A_eager uses 2: "now" vs "later").
 // Classes never decrease along the slot index, so the greedy's (class,
-// index) order is the identity, and ExtendFromRight over it is LexMaxExtend.
+// index) order is the identity (TestRoundClassesSlotOrderIsClassSorted).
 func (sc *roundScratch) roundClasses(maxClass int) ([]int32, []int) {
 	wg := &sc.wg
 	key := [4]int{wg.n, wg.capc, wg.depth, maxClass}

@@ -79,11 +79,19 @@ func (p *graphProbe) Round(ctx *core.RoundContext) {
 	}
 }
 
+func numEdges(g *matching.Graph) int {
+	e := 0
+	for l := 0; l < g.NLeft(); l++ {
+		e += len(g.Adj(l))
+	}
+	return e
+}
+
 func sameGraph(t *testing.T, round int, onlyFree bool, got, want *matching.Graph) {
 	t.Helper()
-	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || got.NumEdges() != want.NumEdges() {
+	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || numEdges(got) != numEdges(want) {
 		t.Fatalf("round %d onlyFree=%v: graph %dx%d with %d edges, reference %dx%d with %d",
-			round, onlyFree, got.NLeft(), got.NRight(), got.NumEdges(), want.NLeft(), want.NRight(), want.NumEdges())
+			round, onlyFree, got.NLeft(), got.NRight(), numEdges(got), want.NLeft(), want.NRight(), numEdges(want))
 	}
 	for l := 0; l < want.NLeft(); l++ {
 		if !slices.Equal(got.Adj(l), want.Adj(l)) {
@@ -109,6 +117,57 @@ func TestWindowGraphMatchesEdgeByEdgeBuild(t *testing.T) {
 			core.Run(p, tr)
 			if p.rounds < 40 {
 				t.Fatalf("cap %d seed %d: probe ran %d rounds", capc, seed, p.rounds)
+			}
+		}
+	}
+}
+
+// TestRoundClassesSlotOrderIsClassSorted checks that the slot order the
+// balance routers pass to Scratch.ExtendFromRight is the (class, index)
+// order of their class vector, which makes that one pass the lexicographic
+// slot greedy internal/matching checks against brute force. Class 0 is the
+// current round, and maxClass 2 (A_eager) folds every later round into
+// class 1; maxClass 0 stands for A_balance's one class per window round. One
+// scratch serves every shape, so the cached vector is checked too.
+func TestRoundClassesSlotOrderIsClassSorted(t *testing.T) {
+	var sc roundScratch
+	for n := 1; n <= 5; n++ {
+		for capc := 1; capc <= 3; capc++ {
+			for depth := 1; depth <= 6; depth++ {
+				for _, maxClass := range []int{0, 2} {
+					sc.wg.n, sc.wg.capc, sc.wg.depth = n, capc, depth
+					classes := maxClass
+					if classes <= 0 {
+						classes = depth
+					}
+					classOf, order := sc.roundClasses(classes)
+					slots := depth * n * capc
+					if len(classOf) != slots || len(order) != slots {
+						t.Fatalf("n=%d cap=%d depth=%d maxClass=%d: %d classes and %d ordered slots, want %d",
+							n, capc, depth, maxClass, len(classOf), len(order), slots)
+					}
+					for idx, c := range classOf {
+						if want := int32(min(idx/(n*capc), classes-1)); c != want {
+							t.Fatalf("n=%d cap=%d depth=%d maxClass=%d: slot %d in class %d, want %d",
+								n, capc, depth, maxClass, idx, c, want)
+						}
+					}
+					seen := make([]bool, slots)
+					for i, s := range order {
+						if seen[s] {
+							t.Fatalf("n=%d cap=%d depth=%d maxClass=%d: slot %d listed twice", n, capc, depth, maxClass, s)
+						}
+						seen[s] = true
+						if i == 0 {
+							continue
+						}
+						p := order[i-1]
+						if classOf[p] > classOf[s] || (classOf[p] == classOf[s] && p > s) {
+							t.Fatalf("n=%d cap=%d depth=%d maxClass=%d: slot %d (class %d) precedes slot %d (class %d)",
+								n, capc, depth, maxClass, p, classOf[p], s, classOf[s])
+						}
+					}
+				}
 			}
 		}
 	}

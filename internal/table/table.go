@@ -47,9 +47,6 @@ type Config struct {
 	Groups int
 }
 
-// DefaultConfig returns the scale used by cmd/table1 and the benches.
-func DefaultConfig() Config { return Config{Phases: 40, Groups: 32} }
-
 func entry(row, param, theorem string, d int, m ratio.Measurement) Entry {
 	lb, asym, _ := strategies.LowerBound(row, d)
 	ub, _ := strategies.UpperBound(row, d)

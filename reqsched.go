@@ -118,22 +118,24 @@ func Optimum(tr *Trace) int { return offline.Optimum(tr) }
 type Objective = offline.Objective
 
 // The objectives Solve computes: the maximum number of requests served
-// (Optimum), the maximum total request weight served (MaxProfit), and the
-// minimum total latency among maximum-cardinality schedules
-// (OptimumMinLatency).
+// (Optimum), the maximum total request weight served (the weighted
+// extension's optimum; equals Optimum when unweighted), and the minimum total
+// latency among maximum-cardinality schedules (the latency baseline for
+// throughput-optimal scheduling).
 const (
 	Cardinality = offline.Cardinality
 	Profit      = offline.Profit
 	MinLatency  = offline.MinLatency
 )
 
-// Solve returns exactly the monolithic optimum of tr under obj. Cardinality
-// is Optimum(tr). Profit and MinLatency decompose the trace into independent
-// segments (clean time cuts, with a union-find connected-components
-// fallback) and solve each on a worker pool (workers <= 0: GOMAXPROCS), so
-// peak memory is proportional to the largest segment rather than the
-// horizon. log is set only for MinLatency: a minimum-latency schedule of
-// maximum cardinality, in request-ID order.
+// Solve returns the offline optimum of tr under obj; it is the one entry
+// point for the weighted objectives. Cardinality is Optimum(tr). Profit and
+// MinLatency decompose the trace into independent segments (clean time
+// cuts, with a union-find connected-components fallback) and solve each on
+// a worker pool (workers <= 0: GOMAXPROCS), so peak memory is proportional
+// to the largest segment rather than the horizon. log is set only for
+// MinLatency: a minimum-latency schedule of maximum cardinality, in
+// request-ID order.
 func Solve(tr *Trace, obj Objective, workers int) (value int, log []Fulfillment) {
 	return offline.Solve(tr, obj, workers)
 }
@@ -153,15 +155,6 @@ func OptimumStream(r io.Reader) (opt, nsegs int, err error) {
 
 // OptimumSchedule returns one optimal offline schedule.
 func OptimumSchedule(tr *Trace) []Fulfillment { return offline.OptimumSchedule(tr) }
-
-// OptimumMinLatency returns an optimal offline schedule that additionally
-// minimizes total service latency, plus that latency — the latency baseline
-// for throughput-optimal scheduling.
-func OptimumMinLatency(tr *Trace) ([]Fulfillment, int) { return offline.OptimumMinLatency(tr) }
-
-// MaxProfit returns the maximum total request weight an offline schedule can
-// serve (the weighted extension's optimum; equals Optimum when unweighted).
-func MaxProfit(tr *Trace) int { return offline.MaxProfit(tr) }
 
 // EarliestDeadlineSchedule serves tr greedily by earliest deadline on every
 // resource and returns the number of requests fulfilled — optimal for

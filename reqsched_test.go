@@ -140,7 +140,7 @@ func TestFacadeFullSurface(t *testing.T) {
 		t.Fatalf("MeasureChecked: %+v, %v", m, err)
 	}
 	res, series := reqsched.RunWithSeries(reqsched.NewABalance(), tr)
-	if len(series.Rounds) == 0 || series.PeakPending() < 0 || series.TotalIdle() < 0 {
+	if len(series.Rounds) == 0 {
 		t.Fatal("series empty")
 	}
 	orders := reqsched.AugmentingOrders(tr, res.Log)
